@@ -402,6 +402,9 @@ let run_sharded ~cmd ~engine ~delta ~shards:k ~workers ~snapshot_dir
     ~snapshot_every ~restore ~kill_after ~migrate_every ~summary_only ic =
   let fail fmt = stream_die cmd fmt in
   if k < 1 then fail "--shards must be >= 1, got %d" k;
+  (match workers with
+  | Some w when w < 1 -> fail "--workers must be >= 1, got %d" w
+  | _ -> ());
   let svc =
     match restore with
     | None -> ref None
@@ -609,19 +612,11 @@ let stream_cmd =
           ~doc:
             "Partition arrivals across K engine shards running on \
              separate domains (default 1: the single-engine path, whose \
-             output is byte-identical to `psched run --decisions-only`).")
+             output is byte-identical to `psched run --decisions-only`, \
+             unless a sharded-only flag is given).")
   in
-  let snapshot_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "snapshot" ]
-          ~doc:
-            "Write the final engine snapshot to this file (single-engine \
-             path; written atomically via a temp file and rename).")
-  in
-  let run input engine delta snapshot_out summary_only shards workers
-      snapshot_dir snapshot_every restore kill_after =
+  let run input engine delta summary_only shards workers snapshot_dir
+      snapshot_every restore kill_after =
     let cmd = "stream" in
     let ic =
       if input = "-" then stdin
@@ -633,17 +628,15 @@ let stream_cmd =
     Fun.protect
       ~finally:(fun () -> if input <> "-" then close_in ic)
       (fun () ->
-        if shards > 1 || restore <> None then begin
-          (match snapshot_out with
-          | Some _ ->
-            stream_die cmd
-              "--snapshot is the single-engine flag; use --snapshot-dir \
-               with --shards"
-          | None -> ());
+        (* Any sharded-only flag selects the sharded loop, even at
+           K = 1, rather than being silently ignored. *)
+        if
+          shards > 1 || restore <> None || snapshot_dir <> None
+          || kill_after <> None || workers <> None
+        then
           run_sharded ~cmd ~engine ~delta ~shards ~workers ~snapshot_dir
             ~snapshot_every ~restore ~kill_after ~migrate_every:0
             ~summary_only ic
-        end
         else begin
           (* Single-engine path: arrivals are consumed line by line, so
              the engine demonstrably never sees a job before its line is
@@ -712,11 +705,7 @@ let stream_cmd =
               (Json.to_string
                  (summary_record ~algorithm:(Online.name engine) ~power
                     (List.rev !decisions_rev)
-                    (Online.finalize t)));
-            (match snapshot_out with
-            | None -> ()
-            | Some path ->
-              Speedscale_service.Atomic_io.write ~path (Online.snapshot t))
+                    (Online.finalize t)))
         end)
   in
   let info =
@@ -737,9 +726,11 @@ let stream_cmd =
              the same instance, which is the online=batch equivalence the \
              @stream-smoke alias checks.";
           `P
-            "With --shards K > 1 (or --restore) the arrivals are \
-             hash-partitioned across K engine instances running on \
-             separate domains — see `psched serve` for the long-running \
+            "With --shards K > 1, or with any of --restore, \
+             --snapshot-dir, --kill-after or --workers (even at K = 1), \
+             the arrivals are hash-partitioned across K engine instances \
+             running on separate domains and the output is the sharded \
+             record stream — see `psched serve` for the long-running \
              front end with checkpointing and live migration.  Malformed \
              streams (NaN or non-positive workloads, deadline <= \
              release, out-of-order arrivals, missing headers) are \
@@ -749,7 +740,7 @@ let stream_cmd =
   Cmd.v info
     Term.(
       const run $ stream_input_arg $ stream_engine_arg $ stream_delta_arg
-      $ snapshot_out $ stream_summary_only_arg $ shards $ stream_workers_arg
+      $ stream_summary_only_arg $ shards $ stream_workers_arg
       $ stream_snapshot_dir_arg $ stream_snapshot_every_arg
       $ stream_restore_arg $ stream_kill_after_arg)
 
@@ -766,8 +757,8 @@ let serve_cmd =
       & info [ "migrate-every" ] ~docv:"N"
           ~doc:
             "Live-migrate one shard to the next worker domain every N \
-             arrivals (0: never).  Exercises drain/snapshot/restore \
-             under load; the decision stream is unaffected.")
+             arrivals (0: never) by reassigning its ingest queue; the \
+             decision stream is unaffected.")
   in
   let run input engine delta summary_only shards workers snapshot_dir
       snapshot_every restore kill_after migrate_every =

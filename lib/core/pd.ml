@@ -4,10 +4,10 @@ open Speedscale_solver
 (* PD is the framework's reference instantiation: the paper's
    energy+lost-value objective, the atomic-interval/Chen water-filling
    relaxation, and the Lagrangian dual certificate.  Everything below is
-   a thin delegation layer plus the native snapshot text format; the
-   algorithm itself lives in Pd_core (where both the fast breakpoint-walk
-   solver and the bisection reference oracle are shared with any other
-   instantiation of the interval relaxation). *)
+   a thin delegation layer; the algorithm itself lives in Pd_core (where
+   both the fast breakpoint-walk solver and the bisection reference
+   oracle are shared with any other instantiation of the interval
+   relaxation). *)
 
 module O = Pd_core.Energy_value
 module R = Pd_core.Interval (O)
@@ -72,152 +72,6 @@ let interval_loads t = R.interval_loads (Core.relax t)
 let schedule = Core.schedule
 let lambdas = Core.lambdas
 let delta t = O.delta (Core.obj t)
-
-(* ------------------------------------------------------------------ *)
-(* Snapshots                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let snapshot_result t =
-  match Core.history_guard t "snapshot" with
-  | Error e -> Error e
-  | Ok () ->
-    let b = Buffer.create 1024 in
-    let pf fmt = Fmt.kstr (Buffer.add_string b) fmt in
-    let obj = Core.obj t in
-    pf "pd-snapshot v1\n";
-    pf "alpha %.17g\n" (Power.alpha (O.power obj));
-    pf "machines %d\n" (O.machines obj);
-    pf "delta %.17g\n" (O.delta obj);
-    pf "last_release %.17g\n" (Core.last_release t);
-    pf "bounds";
-    Array.iter (fun x -> pf " %.17g" x) (boundaries t);
-    pf "\n";
-    Array.iteri
-      (fun k loads ->
-        pf "interval %d" k;
-        List.iter (fun (id, load) -> pf " %d:%.17g" id load) loads;
-        pf "\n")
-      (interval_loads t);
-    (* jobs in arrival order with their outcomes *)
-    List.iter
-      (fun (j : Job.t) ->
-        let lambda, accepted =
-          match Core.outcome t j.id with
-          | Some o -> o
-          | None -> (0.0, false)
-        in
-        let status = if accepted then "accepted" else "rejected" in
-        pf "job %d %.17g %.17g %.17g %s lambda %.17g %s\n" j.id j.release
-          j.deadline j.workload
-          (if Float.equal j.value Float.infinity then "inf"
-           else Fmt.str "%.17g" j.value)
-          lambda status)
-      (Core.seen_jobs t);
-    Ok (Buffer.contents b)
-
-let snapshot t =
-  match snapshot_result t with
-  | Ok s -> s
-  | Error e -> raise (Bounded_memory e)
-
-let restore text =
-  let fail lineno msg =
-    failwith (Fmt.str "Pd.restore: line %d: %s" lineno msg)
-  in
-  let parse_float lineno what s =
-    match float_of_string_opt s with
-    | Some f -> f
-    | None -> fail lineno (Fmt.str "bad %s %S" what s)
-  in
-  let alpha = ref None
-  and machines = ref None
-  and delta = ref None
-  and last_release = ref Float.neg_infinity
-  and bounds = ref [||]
-  and intervals = ref []
-  and jobs = ref [] in
-  String.split_on_char '\n' text
-  |> List.iteri (fun i line ->
-         let lineno = i + 1 in
-         match
-           String.split_on_char ' ' (String.trim line)
-           |> List.filter (( <> ) "")
-         with
-         | [] -> ()
-         | [ "pd-snapshot"; "v1" ] -> ()
-         | [ "alpha"; v ] -> alpha := Some (parse_float lineno "alpha" v)
-         | [ "machines"; v ] -> (
-           match int_of_string_opt v with
-           | Some m -> machines := Some m
-           | None -> fail lineno "bad machines")
-         | [ "delta"; v ] -> delta := Some (parse_float lineno "delta" v)
-         | [ "last_release"; v ] ->
-           last_release := parse_float lineno "last_release" v
-         | "bounds" :: rest ->
-           bounds :=
-             Array.of_list (List.map (parse_float lineno "bound") rest)
-         | "interval" :: k :: rest ->
-           let k =
-             match int_of_string_opt k with
-             | Some k -> k
-             | None -> fail lineno "bad interval index"
-           in
-           let loads =
-             List.map
-               (fun pair ->
-                 match String.split_on_char ':' pair with
-                 | [ id; load ] -> (
-                   match int_of_string_opt id with
-                   | Some id -> (id, parse_float lineno "load" load)
-                   | None -> fail lineno "bad load id")
-                 | _ -> fail lineno "bad load pair")
-               rest
-           in
-           intervals := (k, loads) :: !intervals
-         | [ "job"; id; r; d; w; v; "lambda"; l; status ] ->
-           let id =
-             match int_of_string_opt id with
-             | Some id -> id
-             | None -> fail lineno "bad job id"
-           in
-           let value =
-             if v = "inf" then Float.infinity
-             else parse_float lineno "value" v
-           in
-           let job =
-             Job.make ~id ~release:(parse_float lineno "release" r)
-               ~deadline:(parse_float lineno "deadline" d)
-               ~workload:(parse_float lineno "workload" w)
-               ~value
-           in
-           let accepted =
-             match status with
-             | "accepted" -> true
-             | "rejected" -> false
-             | _ -> fail lineno "bad status"
-           in
-           jobs := (job, parse_float lineno "lambda" l, accepted) :: !jobs
-         | _ -> fail lineno (Fmt.str "unrecognized %S" line));
-  let alpha =
-    match !alpha with Some a -> a | None -> failwith "Pd.restore: missing alpha"
-  in
-  let machines =
-    match !machines with
-    | Some m -> m
-    | None -> failwith "Pd.restore: missing machines"
-  in
-  let delta =
-    match !delta with Some d -> d | None -> failwith "Pd.restore: missing delta"
-  in
-  let t = create ~delta ~power:(Power.make alpha) ~machines () in
-  R.load_timeline (Core.relax t) ~bounds:!bounds ~loads:!intervals;
-  Core.set_last_release t !last_release;
-  List.iter
-    (fun ((job : Job.t), lambda, accepted) ->
-      Core.record t job ~lambda ~accepted)
-    (List.rev !jobs);
-  t
-
 let certificate = Core.certificate
 let certificate_result = Core.certificate_result
 

@@ -69,9 +69,12 @@ val create :
     same stream; what changes is visibility: {!boundaries},
     {!interval_loads} and {!decision.assignment} indices cover only the
     {e live} intervals, duplicate-id detection only covers jobs whose
-    windows are still live, and {!snapshot} / {!certificate} (which need
-    the full history) raise [Invalid_argument].  Use {!mem} to observe
-    residency. *)
+    windows are still live, and {!certificate} (which needs every
+    multiplier) raises {!Bounded_memory}.  Use {!mem} to observe
+    residency.  To persist or move a state, use the engine layer's
+    [online-snapshot v1] (doc/ENGINE.md): PD's state is a deterministic
+    function of its arrival prefix, so replaying the arrivals restores
+    it exactly, with or without gc. *)
 
 type arrival_stats = {
   job_id : int;
@@ -170,39 +173,20 @@ val lambdas : t -> (int * float) list
 (** [(job id, λ̃_j)] in arrival order. *)
 
 type history_error = Pd_core.history_error = {
-  operation : string;  (** ["Pd.certificate"] or ["Pd.snapshot"] *)
+  operation : string;  (** always ["Pd.certificate"] *)
   flushed_intervals : int;  (** intervals GC had flushed at the call *)
   evicted_jobs : int;  (** table entries GC had evicted at the call *)
 }
-(** Why a full-history operation is unavailable on a bounded-memory
-    ([~gc:true]) state: the flushed prefix is gone.  The counters say how
-    much history was dropped, so callers can report precisely instead of
-    guessing.  Render with {!Pd_core.pp_history_error}. *)
+(** Why {!certificate} is unavailable on a bounded-memory ([~gc:true])
+    state: the flushed prefix and its multipliers are gone.  The counters
+    say how much history was dropped, so callers can report precisely
+    instead of guessing.  Render with {!Pd_core.pp_history_error}. *)
 
 exception Bounded_memory of history_error
 (** The same exception as {!Pd_core.Bounded_memory} (rebound, not
-    redeclared).  Raised by {!snapshot} and {!certificate} on a
-    [~gc:true] state.
-    Prefer the [_result] variants in new code; the exception exists for
+    redeclared).  Raised by {!certificate} on a [~gc:true] state.
+    Prefer {!certificate_result} in new code; the exception exists for
     call sites that treat the situation as a programming error. *)
-
-val snapshot : t -> string
-(** Serialize the full online state (boundaries, committed loads,
-    multipliers, decisions, seen jobs) as plain text.  A scheduler process
-    can persist this after each arrival and {!restore} after a restart,
-    continuing exactly where it left off.  Raises {!Bounded_memory} on a
-    [~gc:true] state (the flushed history is gone); GC'd deployments
-    snapshot at the engine layer instead, whose `online-snapshot v1`
-    replay format never needs the internal timeline (doc/ENGINE.md). *)
-
-val snapshot_result : t -> (string, history_error) result
-(** {!snapshot} with the bounded-memory case as a typed [Error] instead
-    of an exception. *)
-
-val restore : string -> t
-(** Inverse of {!snapshot}.  Raises [Failure] with a line-numbered message
-    on malformed input.  The restored state processes further arrivals
-    identically to the original (bit-for-bit: the state is exact). *)
 
 val certificate : t -> float
 (** The dual lower bound [g(λ̃)] over the jobs seen {e so far} — a valid

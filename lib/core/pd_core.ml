@@ -461,21 +461,6 @@ struct
   let lambdas t = List.rev t.lambda_rev
   let accepted t = List.rev t.accepted_rev
   let rejected t = List.rev t.rejected_rev
-  let seen_jobs t = List.rev t.seen
-  let outcome t id = Hashtbl.find_opt t.outcomes id
-  let last_release t = t.last_release
-  let set_last_release t x = t.last_release <- x
-
-  (* Restore support: replay one recorded outcome into the bookkeeping
-     (callers load the relaxation state separately).  Call in arrival
-     order. *)
-  let record t (job : Job.t) ~lambda ~accepted =
-    t.seen <- job :: t.seen;
-    Hashtbl.replace t.seen_ids job.id ();
-    Hashtbl.replace t.outcomes job.id (lambda, accepted);
-    t.lambda_rev <- (job.id, lambda) :: t.lambda_rev;
-    if accepted then t.accepted_rev <- job.id :: t.accepted_rev
-    else t.rejected_rev <- job.id :: t.rejected_rev
 
   let history_guard t operation =
     if t.gc then
@@ -1010,22 +995,4 @@ module Interval (O : OBJECTIVE) = struct
       r_flushed = t.flushed_intervals;
       r_finished_slices = Slab.length t.finished;
     }
-
-  (* Load a serialized timeline into a fresh relaxation (snapshot
-     restore). *)
-  let load_timeline t ~bounds ~loads =
-    let nb = Array.length bounds in
-    let n_intervals = Stdlib.max 0 (nb - 1) in
-    if nb = 1 then t.lone <- Some bounds.(0);
-    let ivls =
-      Array.init n_intervals (fun k ->
-          { lo = bounds.(k); hi = bounds.(k + 1); loads = []; cache = None })
-    in
-    Array.iter (fun iv -> t.live <- Tline.add iv.lo iv t.live) ivls;
-    List.iter
-      (fun (k, l) ->
-        if k < 0 || k >= n_intervals then
-          failwith (t.err ^ ".restore: interval index out of range");
-        ivls.(k).loads <- l)
-      loads
 end

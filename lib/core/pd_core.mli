@@ -84,7 +84,7 @@ type decision = {
 }
 
 type history_error = {
-  operation : string;  (** e.g. ["Pd.certificate"] *)
+  operation : string;  (** [err ^ ".certificate"], e.g. ["Pd.certificate"] *)
   flushed_intervals : int;  (** intervals GC had flushed at the call *)
   evicted_jobs : int;  (** table entries GC had evicted at the call *)
 }
@@ -92,9 +92,8 @@ type history_error = {
     ([~gc:true]) state: the flushed prefix is gone. *)
 
 exception Bounded_memory of history_error
-(** Raised by the exception-style full-history entry points
-    ([certificate], [snapshot]) on a [~gc:true] state; the [_result]
-    variants return [Error] instead. *)
+(** Raised by [certificate] on a [~gc:true] state; [certificate_result]
+    returns [Error] instead. *)
 
 val pp_history_error : Format.formatter -> history_error -> unit
 
@@ -227,11 +226,6 @@ module Make
   val lambdas : t -> (int * float) list
   val accepted : t -> int list
   val rejected : t -> int list
-  val seen_jobs : t -> Job.t list  (** arrival order; [[]] under gc *)
-
-  val outcome : t -> int -> (float * bool) option
-  val last_release : t -> float
-
   val set_observer : t -> (arrival_stats -> unit) option -> unit
   val stats : t -> stats
   val mem : t -> mem_stats
@@ -240,15 +234,6 @@ module Make
   (** Raises {!Bounded_memory} on a [~gc:true] state. *)
 
   val certificate_result : t -> (float, history_error) result
-  val history_guard : t -> string -> (unit, history_error) result
-
-  (** Restore support (native snapshot formats): *)
-
-  val set_last_release : t -> float -> unit
-
-  val record : t -> Job.t -> lambda:float -> accepted:bool -> unit
-  (** Replay one recorded outcome into the bookkeeping (callers load the
-      relaxation state separately).  Call in arrival order. *)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -259,13 +244,8 @@ module Interval (O : OBJECTIVE) : sig
   include RELAXATION with type obj = O.t
 
   (** Beyond the [RELAXATION] contract, the interval timeline exposes its
-      state for {!Pd}'s native snapshot format and inspection API: *)
+      state for {!Pd}'s inspection API: *)
 
   val boundaries : t -> float array
   val interval_loads : t -> (int * float) list array
-
-  val load_timeline :
-    t -> bounds:float array -> loads:(int * (int * float) list) list -> unit
-  (** Load a serialized timeline into a fresh relaxation (snapshot
-      restore).  Raises [Failure] on an out-of-range interval index. *)
 end

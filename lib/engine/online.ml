@@ -57,10 +57,12 @@ type event = { decision : decision; wall_s : float }
 (*   delta <float>            -- only when params.delta is Some         *)
 (*   job <id> <r> <d> <w> <v|inf>   -- one line per arrival, in order   *)
 (*                                                                      *)
-(* Every engine is a deterministic function of its arrival prefix, so   *)
-(* recording params + arrivals and replaying them on restore is an      *)
-(* exact state transfer (PD's bit-exact native snapshot agrees: the     *)
-(* replay recomputes the same timeline, loads and multipliers).         *)
+(* Every engine is a deterministic function of its arrival prefix       *)
+(* (PD fixes each multiplier when its job arrives and never revisits    *)
+(* it), so recording params + arrivals and replaying them on restore is *)
+(* an exact state transfer.  This is the only serialized form of engine *)
+(* state: Service checkpoints write it and --restore reads it; live     *)
+(* migration moves the state without serializing it (doc/SERVICE.md).   *)
 (* ------------------------------------------------------------------ *)
 
 let render_snapshot ~name ~(p : params) (jobs : Job.t list) =
@@ -99,6 +101,14 @@ let parse_snapshot s =
     | Some f -> f
     | None -> fail lineno "bad %s %S" what v
   in
+  (* Job.make, Power.make and params validate with Invalid_argument; a
+     snapshot is input, so their complaints become line-numbered
+     Failures like every other parse error. *)
+  let checked lineno f =
+    match f () with
+    | v -> v
+    | exception Invalid_argument m -> fail lineno "%s" m
+  in
   let lines = String.split_on_char '\n' s in
   (match lines with
   | first :: _ when String.trim first = "online-snapshot v1" -> ()
@@ -111,10 +121,12 @@ let parse_snapshot s =
       else
         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
         | [ "engine"; name ] -> engine := Some name
-        | [ "alpha"; v ] -> alpha := Some (parse_float "alpha" lineno v)
+        | [ "alpha"; v ] ->
+          let a = parse_float "alpha" lineno v in
+          alpha := Some (checked lineno (fun () -> Power.make a))
         | [ "machines"; v ] -> (
           match int_of_string_opt v with
-          | Some m -> machines := Some m
+          | Some m -> machines := Some (lineno, m)
           | None -> fail lineno "bad machines %S" v)
         | [ "delta"; v ] -> delta := Some (parse_float "delta" lineno v)
         | [ "job"; id; r; d; w; v ] ->
@@ -127,11 +139,12 @@ let parse_snapshot s =
             if v = "inf" then Float.infinity
             else parse_float "value" lineno v
           in
+          let release = parse_float "release" lineno r
+          and deadline = parse_float "deadline" lineno d
+          and workload = parse_float "workload" lineno w in
           jobs_rev :=
-            Job.make ~id ~release:(parse_float "release" lineno r)
-              ~deadline:(parse_float "deadline" lineno d)
-              ~workload:(parse_float "workload" lineno w)
-              ~value
+            checked lineno (fun () ->
+                Job.make ~id ~release ~deadline ~workload ~value)
             :: !jobs_rev
         | _ -> fail lineno "unrecognized %S" line)
     lines;
@@ -139,12 +152,13 @@ let parse_snapshot s =
     | Some v -> v
     | None -> failwith (Fmt.str "Online.restore: missing '%s' line" what)
   in
+  let power = need "alpha" !alpha in
+  let machines_line, machines = need "machines" !machines in
   {
     s_engine = need "engine" !engine;
     s_params =
-      params ?delta:!delta
-        ~power:(Power.make (need "alpha" !alpha))
-        ~machines:(need "machines" !machines) ();
+      checked machines_line (fun () ->
+          params ?delta:!delta ~power ~machines ());
     s_jobs = List.rev !jobs_rev;
   }
 
@@ -250,9 +264,16 @@ module Make (C : CORE) : ONLINE = struct
       failwith
         (Fmt.str "Online.restore: snapshot is for engine %s, not %s"
            parsed.s_engine name);
-    let st = create parsed.s_params in
-    List.iter (fun j -> ignore (arrive st j)) parsed.s_jobs;
-    st
+    (* An inapplicable engine, a bad delta, or a replay the arrival
+       checks refuse (duplicate id, release order) is a bad snapshot,
+       not a programming error. *)
+    match
+      let st = create parsed.s_params in
+      List.iter (fun j -> ignore (arrive st j)) parsed.s_jobs;
+      st
+    with
+    | st -> st
+    | exception Invalid_argument m -> failwith ("Online.restore: " ^ m)
 end
 
 type engine = (module ONLINE)

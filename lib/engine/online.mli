@@ -153,7 +153,10 @@ module type ONLINE = sig
       arrivals identically to the original.  The clock is not
       serializable, so restored states report [wall_s = 0].  Raises
       [Failure] on malformed input or an [engine] header naming a
-      different engine. *)
+      different engine.  Values the constructors refuse (a job with
+      [deadline <= release], [alpha <= 1], [machines < 1]) and a replay
+      the arrival checks refuse are malformed input too: they raise
+      [Failure], never [Invalid_argument]. *)
 end
 
 type engine = (module ONLINE)

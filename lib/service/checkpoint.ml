@@ -98,6 +98,7 @@ let load ~manifest =
     | None -> fail "missing '%s' line" what
   in
   let k = need "shards" !shards in
+  if k < 1 then fail "shards must be >= 1, got %d" k;
   let entries =
     List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) (List.rev !entries_rev)
   in

@@ -39,4 +39,5 @@ val write :
 val load : manifest:string -> t * string array
 (** Read a manifest (by path) and its shard snapshot texts, verifying
     every recorded MD5.  Raises [Failure] with a descriptive message on
-    a missing file, a digest mismatch, or a malformed manifest. *)
+    a missing file, a digest mismatch, or a malformed manifest
+    (including [shards < 1]). *)

@@ -246,25 +246,17 @@ let checkpoint t ~dir =
   Checkpoint.write ~dir ~engine:(Online.name t.eng) ~shard_fn:t.tag ~seq:at
     snaps
 
+(* The shard's state is an ordinary heap value; what confines it to one
+   domain is Pool's per-queue serialization, which holds across
+   [Pool.assign]: a batch in flight finishes on the old domain, and the
+   new owner cannot take the queue until that batch's [running] flag
+   clears under the pool mutex (which also orders the state's writes
+   before the new domain's reads).  So moving the queue moves the shard,
+   in O(1) whatever its history. *)
 let migrate t ~shard ~worker =
   if shard < 0 || shard >= t.k then
     invalid_arg (Fmt.str "Service.migrate: bad shard %d" shard);
-  if Pool.worker_of t.pool ~queue:shard <> worker then begin
-    (* 1. drain: the marker runs after every queued arrival; 2. snapshot
-       on the old domain *)
-    let cell = Cell.create () in
-    submit_task t shard (fun () ->
-        Cell.put cell (Online.snapshot t.shards.(shard)));
-    let snap = Cell.get cell in
-    (* 3. hand the (now empty) queue to the new domain *)
-    Pool.assign t.pool ~queue:shard ~worker;
-    (* 4. restore on the new domain, ordered before any later arrival:
-       the queue is empty here (the merging thread is the only submitter
-       and it was blocked on the marker), so this cannot fail for
-       capacity and is the queue's next task *)
-    submit_task t shard (fun () ->
-        t.shards.(shard) <- Online.restore snap)
-  end
+  Pool.assign t.pool ~queue:shard ~worker
 
 (* ---------------- end of stream ---------------- *)
 

@@ -25,8 +25,9 @@
     number (marker tasks flow through the ingest queues, so no barrier
     stalls the shards), commits it atomically ({!Checkpoint}), and
     {!restore} rebuilds the service from the manifest alone.  Live
-    {!migrate} moves a shard to another domain by drain → snapshot →
-    restore-on-the-new-domain, through the same wire format. *)
+    {!migrate} moves a shard to another domain by reassigning its ingest
+    queue; the engine state stays where it is in the shared heap, so
+    nothing is serialized and the move costs O(1). *)
 
 open Speedscale_model
 module Online := Speedscale_engine.Online
@@ -114,12 +115,14 @@ val checkpoint : t -> dir:string -> unit
     markers have executed, then writes from the calling thread. *)
 
 val migrate : t -> shard:int -> worker:int -> unit
-(** Live shard migration: drain the shard's queue (marker), snapshot its
-    engine on the old domain, reassign the queue, and restore the
-    snapshot {e on the new domain} before any queued arrival runs there.
-    The merged decision stream is unaffected — snapshot/restore is an
-    exact state transfer.  No-op when the shard already lives on
-    [worker]. *)
+(** Live shard migration: hand the shard's ingest queue to [worker]
+    ({!Speedscale_obs.Pool.assign}).  A batch already in flight finishes
+    on the old domain, and the new one takes the queue only after it, so
+    the shard's arrivals still run one at a time and in order.  The
+    merged decision stream is unaffected, and the cost does not depend
+    on the shard's history.  No-op when the shard already lives on
+    [worker].  Raises [Invalid_argument] on a bad shard or worker
+    index. *)
 
 val finalize : t -> Schedule.t array
 (** Quiesce the pool and return each shard's final schedule. *)

@@ -40,6 +40,25 @@ let contains text sub =
   let rec go i = i + k <= n && (String.sub text i k = sub || go (i + 1)) in
   k = 0 || go 0
 
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* A fresh empty directory, removed with its contents afterwards. *)
+let with_tmp_dir f =
+  let dir = Filename.temp_file "psched" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
 let check_ok name (code, text) markers =
   Alcotest.(check int) (name ^ ": exit code") 0 code;
   List.iter
@@ -224,38 +243,31 @@ let test_stream_sharded_needs_machines () =
 
 (* The failover loop end to end, through the real binary: run sharded,
    kill mid-stream after a checkpoint, restore, and require the stitched
-   output to be byte-identical to the straight-through run. *)
-let test_stream_kill_restore_byte_identical () =
-  let dir = Filename.temp_file "psched" ".ck" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let inst = Filename.temp_file "psched" ".inst" in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun n -> Sys.remove (Filename.concat dir n))
-          (Sys.readdir dir);
-        Sys.rmdir dir
-      end;
-      if Sys.file_exists inst then Sys.remove inst)
-    (fun () ->
+   output to be byte-identical to the straight-through run.  [straight]
+   and [sharded] are the flags of the straight-through and the killed
+   run; at the default --shards 1 the killed run has only
+   --snapshot-dir and --kill-after to select the sharded loop. *)
+let check_kill_restore name ~straight ~sharded =
+  with_tmp_dir (fun tmp ->
+      let inst = Filename.concat tmp "inst.txt"
+      and dir = Filename.concat tmp "ck" in
       let code, _ =
         run_capture
           [ "generate"; "--preset"; "random"; "-n"; "120"; "-m"; "4";
             "--seed"; "7"; "-o"; inst ]
       in
       Alcotest.(check int) "generate" 0 code;
-      let code, full = run_capture [ "stream"; inst; "--shards"; "4" ] in
-      Alcotest.(check int) "full run" 0 code;
+      let code, full = run_capture ([ "stream"; inst ] @ straight) in
+      Alcotest.(check int) (name ^ ": full run") 0 code;
       let code, part1 =
         run_capture
-          [ "stream"; inst; "--shards"; "4"; "--snapshot-dir"; dir;
-            "--snapshot-every"; "40"; "--kill-after"; "100" ]
+          ([ "stream"; inst ] @ sharded
+          @ [ "--snapshot-dir"; dir; "--snapshot-every"; "40";
+              "--kill-after"; "100" ])
       in
-      Alcotest.(check int) "killed run exits 0" 0 code;
+      Alcotest.(check int) (name ^ ": killed run exits 0") 0 code;
       let code, part2 = run_capture [ "stream"; inst; "--restore"; dir ] in
-      Alcotest.(check int) "restored run" 0 code;
+      Alcotest.(check int) (name ^ ": restored run") 0 code;
       (* records are 8 lines each; the last committed checkpoint is at
          seq 80, so the restored run re-emits from there *)
       let lines = String.split_on_char '\n' part1 in
@@ -263,8 +275,88 @@ let test_stream_kill_restore_byte_identical () =
         List.filteri (fun i _ -> i < 8 * 80) lines |> String.concat "\n"
       in
       Alcotest.(check string)
-        "stitched output equals the straight-through run" full
+        (name ^ ": stitched output equals the straight-through run")
+        full
         (prefix ^ "\n" ^ part2))
+
+let test_stream_kill_restore_byte_identical () =
+  check_kill_restore "k=4" ~straight:[ "--shards"; "4" ]
+    ~sharded:[ "--shards"; "4" ];
+  check_kill_restore "k=1" ~straight:[ "--workers"; "1" ] ~sharded:[]
+
+(* At the default --shards 1, --snapshot-dir alone selects the sharded
+   loop and commits a checkpoint after the last arrival, which --restore
+   reads back: it covers every arrival, so only the summary records
+   remain, and they match the live run's. *)
+let test_stream_k1_snapshot_dir_restores () =
+  with_tmp_dir (fun tmp ->
+      let inst = Filename.concat tmp "inst.txt"
+      and dir = Filename.concat tmp "ck" in
+      let code, _ =
+        run_capture
+          [ "generate"; "--preset"; "random"; "-n"; "60"; "-m"; "2";
+            "--seed"; "7"; "-o"; inst ]
+      in
+      Alcotest.(check int) "generate" 0 code;
+      let code, full = run_capture [ "stream"; inst; "--snapshot-dir"; dir ] in
+      Alcotest.(check int) "--snapshot-dir run" 0 code;
+      let code, back = run_capture [ "stream"; inst; "--restore"; dir ] in
+      Alcotest.(check int) "restore of the k=1 checkpoint" 0 code;
+      let n = String.length full and k = String.length back in
+      Alcotest.(check bool)
+        "restored summaries end the live run's output" true
+        (k > 0 && k <= n && String.sub full (n - k) k = back))
+
+(* Crafted restore inputs must end in a one-line exit-2 diagnostic, not
+   an uncaught-exception backtrace: a digest-valid snapshot holding a
+   job the model refuses, a manifest declaring zero shards, and a valid
+   checkpoint restored with --workers 0. *)
+let test_restore_crafted_inputs () =
+  with_tmp_dir (fun dir ->
+      let stream = Filename.concat dir "in.txt" in
+      write_file stream "alpha 3\nmachines 1\njob 0 1 1 5\n";
+      let manifest ~shards snap =
+        let file = "ckpt-0-shard-0.snap" in
+        write_file (Filename.concat dir file) snap;
+        write_file
+          (Filename.concat dir "manifest")
+          (Printf.sprintf
+             "service-manifest v1\nengine pd\nshard-fn id-mix-v1\n\
+              shards %d\nseq 0\n%s"
+             shards
+             (if shards = 0 then ""
+              else
+                Printf.sprintf "shard 0 %s %s\n" file
+                  (Digest.to_hex (Digest.string snap))))
+      in
+      let one_line_exit_2 name args markers =
+        let code, out = run_capture args in
+        Alcotest.(check int) (name ^ ": exit 2") 2 code;
+        Alcotest.(check int)
+          (name ^ ": one line: " ^ out)
+          1
+          (List.length
+             (List.filter (( <> ) "") (String.split_on_char '\n' out)));
+        List.iter
+          (fun m ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: mentions %S" name m)
+              true (contains out m))
+          markers
+      in
+      let header = "online-snapshot v1\nengine pd\nalpha 3\nmachines 1\n" in
+      manifest ~shards:1 (header ^ "job 0 1 1 1 1\n");
+      one_line_exit_2 "deadline <= release in a snapshot"
+        [ "stream"; stream; "--restore"; dir ]
+        [ "line 5"; "deadline" ];
+      manifest ~shards:0 header;
+      one_line_exit_2 "zero-shard manifest"
+        [ "stream"; stream; "--restore"; dir ]
+        [ "shards must be >= 1" ];
+      manifest ~shards:1 header;
+      one_line_exit_2 "--workers 0"
+        [ "serve"; stream; "--restore"; dir; "--workers"; "0" ]
+        [ "--workers must be >= 1" ])
 
 (* ---------------- slint ---------------- *)
 
@@ -299,11 +391,6 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path text =
-  let oc = open_out_bin path in
-  output_string oc text;
-  close_out oc
 
 (* A throwaway scan root holding lib/fixture.ml with the given text (plus
    an interface so missing-mli stays quiet). *)
@@ -471,6 +558,10 @@ let () =
             test_stream_sharded_needs_machines;
           Alcotest.test_case "kill/restore byte-identical" `Quick
             test_stream_kill_restore_byte_identical;
+          Alcotest.test_case "k=1 --snapshot-dir restores" `Quick
+            test_stream_k1_snapshot_dir_restores;
+          Alcotest.test_case "crafted restore inputs" `Quick
+            test_restore_crafted_inputs;
         ] );
       ( "slint",
         [

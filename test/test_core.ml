@@ -701,49 +701,6 @@ let test_certificate_empty () =
   let pd = Pd.create ~power:p2 ~machines:1 () in
   Alcotest.(check (float 0.0)) "no jobs, zero bound" 0.0 (Pd.certificate pd)
 
-let prop_snapshot_restore_identical =
-  QCheck.Test.make
-    ~name:"snapshot mid-stream + restore = uninterrupted run" ~count:60
-    arb_setup (fun setup ->
-      let inst = instance_of setup in
-      let n = Instance.n_jobs inst in
-      QCheck.assume (n >= 2);
-      let split = n / 2 in
-      (* run A: uninterrupted *)
-      let a = Pd.create ~power:inst.power ~machines:inst.machines () in
-      Array.iter (fun j -> ignore (Pd.arrive a j)) inst.jobs;
-      (* run B: snapshot after [split] arrivals, restore, continue *)
-      let b0 = Pd.create ~power:inst.power ~machines:inst.machines () in
-      Array.iteri
-        (fun i j -> if i < split then ignore (Pd.arrive b0 j))
-        inst.jobs;
-      let b = Pd.restore (Pd.snapshot b0) in
-      Array.iteri
-        (fun i j -> if i >= split then ignore (Pd.arrive b j))
-        inst.jobs;
-      let cost_of t =
-        Cost.total (Schedule.cost inst (Pd.schedule t))
-      in
-      let la = Pd.lambdas a and lb = Pd.lambdas b in
-      if Float.abs (cost_of a -. cost_of b) > 1e-9 *. (1.0 +. cost_of a) then
-        QCheck.Test.fail_reportf "cost differs after restore"
-      else if
-        not
-          (List.for_all2
-             (fun (i1, l1) (i2, l2) ->
-               i1 = i2 && Float.abs (l1 -. l2) <= 1e-12 *. (1.0 +. l1))
-             la lb)
-      then QCheck.Test.fail_reportf "multipliers differ after restore"
-      else true)
-
-let test_snapshot_rejects_garbage () =
-  (match Pd.restore "nonsense" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure");
-  match Pd.restore "pd-snapshot v1\nalpha 2\n" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure on missing fields"
-
 let test_analysis_high_yield_witness () =
   (* Derivation (alpha = 2, delta = 1/2, m = 1): job A spreads at speed
      s_A = 0.4 over [0,10], so lambda_A = w_A * s_A = 1.6 and
@@ -883,9 +840,9 @@ let prop_framework_instantiation_matches_pd =
         QCheck.Test.fail_reportf "certificate drifted between Pd and framework"
       else true)
 
-(* The gc'd full-history operations fail with the documented typed error
-   (the former bare Invalid_argument), and the _result variants report
-   how much history is gone. *)
+(* The gc'd certificate fails with the documented typed error (the
+   former bare Invalid_argument), and the _result variant reports how
+   much history is gone. *)
 let test_gc_history_typed_error () =
   let pd = Pd.create ~gc:true ~power:p2 ~machines:1 () in
   for i = 0 to 99 do
@@ -901,11 +858,7 @@ let test_gc_history_typed_error () =
     Alcotest.(check int) "flushed count" m.flushed_intervals
       e.flushed_intervals;
     Alcotest.(check int) "evicted count" m.evicted_jobs e.evicted_jobs);
-  (match Pd.snapshot_result pd with
-  | Ok _ -> Alcotest.fail "snapshot_result succeeded on a gc state"
-  | Error e ->
-    Alcotest.(check string) "operation" "Pd.snapshot" e.operation);
-  (* the exception-style entry points raise the typed exception (not a
+  (* the exception-style entry point raises the typed exception (not a
      bare Invalid_argument), and it is Pd_core's exception rebound *)
   (try
      ignore (Pd.certificate pd);
@@ -915,22 +868,17 @@ let test_gc_history_typed_error () =
     Alcotest.(check string) "raised operation" "Pd.certificate" e.operation
   | Invalid_argument _ -> Alcotest.fail "certificate raised Invalid_argument");
   (try
-     ignore (Pd.snapshot pd);
-     Alcotest.fail "snapshot did not raise"
+     ignore (Pd.certificate pd);
+     Alcotest.fail "certificate did not raise"
    with Pd_core.Bounded_memory e ->
-     Alcotest.(check string) "same exception via Pd_core" "Pd.snapshot"
+     Alcotest.(check string) "same exception via Pd_core" "Pd.certificate"
        e.operation);
-  (* a full-history state keeps both operations available *)
+  (* a full-history state keeps the certificate available *)
   let full = Pd.create ~power:p2 ~machines:1 () in
   ignore (Pd.arrive full (mk_job ~id:0 ~r:0.0 ~d:1.0 ~w:1.0 ~v:50.0 ()));
-  (match Pd.certificate_result full with
+  match Pd.certificate_result full with
   | Ok g -> Alcotest.(check bool) "certificate positive" true (g > 0.0)
-  | Error _ -> Alcotest.fail "certificate_result failed without gc");
-  match Pd.snapshot_result full with
-  | Ok s ->
-    Alcotest.(check bool) "snapshot text" true
-      (String.length s > 0 && String.sub s 0 11 = "pd-snapshot")
-  | Error _ -> Alcotest.fail "snapshot_result failed without gc"
+  | Error _ -> Alcotest.fail "certificate_result failed without gc"
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -996,13 +944,10 @@ let () =
           Alcotest.test_case "high-yield witness" `Quick
             test_analysis_high_yield_witness;
           Alcotest.test_case "certificate empty" `Quick test_certificate_empty;
-          Alcotest.test_case "snapshot garbage" `Quick
-            test_snapshot_rejects_garbage;
           q prop_online_certificate_consistent;
-          q prop_snapshot_restore_identical;
-          q prop_analysis_invariants;
           q prop_analysis_matches_dual;
           q prop_analysis_traces_capture_energy;
+          q prop_analysis_invariants;
         ] );
       ( "adversary",
         [

@@ -385,12 +385,53 @@ let test_pre_rework_snapshot_still_restores () =
 let test_restore_errors () =
   Alcotest.check_raises "not a snapshot"
     (Failure "Online.restore: not an online-snapshot v1") (fun () ->
-      ignore (Online.restore "pd-snapshot v1\n"));
+      ignore (Online.restore "service-manifest v1\n"));
   Alcotest.check_raises "unknown engine"
     (Failure "Online.restore: unknown engine \"yds\"") (fun () ->
       ignore
         (Online.restore
            "online-snapshot v1\nengine yds\nalpha 3\nmachines 1\n"))
+
+(* A snapshot that parses but holds values the model refuses is bad
+   input like any other: restore must fail with a Failure naming the
+   line, never leak the constructors' Invalid_argument.  Checkpoint
+   digests only prove the bytes are the ones written, so these can
+   reach restore through a digest-valid checkpoint. *)
+let test_restore_rejects_invalid_values () =
+  let contains text sub =
+    let n = String.length text and k = String.length sub in
+    let rec go i = i + k <= n && (String.sub text i k = sub || go (i + 1)) in
+    go 0
+  in
+  let fails name text markers =
+    match Online.restore text with
+    | _ -> Alcotest.fail (name ^ ": restored")
+    | exception Failure m ->
+      List.iter
+        (fun mk ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S mentions %S" name m mk)
+            true (contains m mk))
+        markers
+  in
+  let header = "online-snapshot v1\nengine pd\nalpha 3\nmachines 1\n" in
+  fails "deadline <= release" (header ^ "job 0 1 1 1 1\n")
+    [ "line 5"; "deadline" ];
+  fails "negative workload" (header ^ "job 0 0 1 -1 1\n")
+    [ "line 5"; "workload" ];
+  fails "alpha <= 1" "online-snapshot v1\nengine pd\nalpha 1\nmachines 1\n"
+    [ "line 3"; "alpha" ];
+  fails "machines < 1"
+    "online-snapshot v1\nengine pd\nalpha 3\nmachines 0\n"
+    [ "line 4"; "machines" ];
+  fails "bad delta" (header ^ "delta -1\n") [ "delta" ];
+  fails "inapplicable engine"
+    "online-snapshot v1\nengine oa\nalpha 3\nmachines 2\n"
+    [ "not applicable" ];
+  fails "duplicate id replay" (header ^ "job 0 0 2 1 1\njob 0 0 2 1 1\n")
+    [ "duplicate" ];
+  fails "release order replay" (header ^ "job 0 1 2 1 1\njob 1 0 2 1 1\n")
+    [ "released" ]
 
 (* ------------------------------------------------------------------ *)
 (* clip_slices sliver regression                                        *)
@@ -443,6 +484,8 @@ let () =
           Alcotest.test_case "pre-rework v1 snapshot restores" `Quick
             test_pre_rework_snapshot_still_restores;
           Alcotest.test_case "restore errors" `Quick test_restore_errors;
+          Alcotest.test_case "restore rejects invalid values" `Quick
+            test_restore_rejects_invalid_values;
         ] );
       ( "clipping",
         [ Alcotest.test_case "sliver regression" `Quick test_clip_slivers ] );

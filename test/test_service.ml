@@ -4,7 +4,7 @@
    headline properties — deterministic merged output at any worker
    count, checkpoint-at-arbitrary-cut → restore → replay-suffix
    byte-identity for every registry engine, and live migration leaving
-   the decision stream untouched. *)
+   every engine's decision stream untouched. *)
 
 open Speedscale_model
 module Online = Speedscale_engine.Online
@@ -217,36 +217,49 @@ let test_service_worker_count_invariance () =
   check_ev_lists "1 vs 4 workers" (run 1) (run 4);
   check_ev_lists "4 vs 2 workers" (run 4) (run 2)
 
-(* Live migration is an exact state transfer: rotating every shard
-   across every worker mid-stream changes nothing downstream. *)
+(* Live migration only moves a shard's queue to another domain:
+   rotating every shard across every worker mid-stream changes nothing
+   downstream, for every engine applicable at one machine per shard.
+   Migration serializes nothing, so this is what pins it for the
+   OA-family, accumulator and partitioned engines as well as PD. *)
 let test_service_migration_equivalence () =
   let jobs = jobs_of 150 ~machines:3 ~seed:13 in
   let params _ = Online.params ~power:p3 ~machines:1 () in
-  let quiet =
-    let svc =
-      Service.create ~workers:3 ~engine:Online.pd ~params ~shards:3 ()
+  let run engine ~migrate =
+    let svc = Service.create ~workers:3 ~engine ~params ~shards:3 () in
+    let evs =
+      List.concat
+        (List.mapi
+           (fun i j ->
+             let evs = Service.submit svc j in
+             if migrate && i mod 10 = 0 then
+               Service.migrate svc ~shard:(i mod 3)
+                 ~worker:((Service.worker_of svc ~shard:(i mod 3) + 1) mod 3);
+             evs)
+           jobs)
     in
-    let evs = feed svc jobs in
+    let evs = evs @ Service.drain svc in
+    let plans = Service.finalize svc in
     Service.shutdown svc;
-    evs
+    (evs, plans)
   in
-  let migrated =
-    let svc =
-      Service.create ~workers:3 ~engine:Online.pd ~params ~shards:3 ()
-    in
-    let evs = ref [] in
-    List.iteri
-      (fun i j ->
-        evs := !evs @ Service.submit svc j;
-        if i mod 10 = 0 then
-          Service.migrate svc ~shard:(i mod 3)
-            ~worker:((Service.worker_of svc ~shard:(i mod 3) + 1) mod 3))
-      jobs;
-    let out = !evs @ Service.drain svc in
-    Service.shutdown svc;
-    out
-  in
-  check_ev_lists "migration" quiet migrated
+  List.iter
+    (fun engine ->
+      let name = Online.name engine in
+      let quiet, quiet_plans = run engine ~migrate:false in
+      let migrated, migrated_plans = run engine ~migrate:true in
+      check_ev_lists (name ^ ": migration") quiet migrated;
+      Array.iteri
+        (fun i p ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s shard %d energy" name i)
+            (Schedule.energy p3 p)
+            (Schedule.energy p3 migrated_plans.(i));
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s shard %d rejected" name i)
+            p.Schedule.rejected migrated_plans.(i).Schedule.rejected)
+        quiet_plans)
+    (List.filter (fun e -> Online.applicable e (params 0)) Online.all)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint-at-arbitrary-cut, for every registry engine               *)
@@ -348,6 +361,24 @@ let test_checkpoint_detects_corruption () =
       | _ -> Alcotest.fail "restore must refuse a corrupt checkpoint"
       | exception Failure _ -> ())
 
+(* A manifest that passes every syntax check but declares zero shards
+   must fail as a bad checkpoint, not reach Pool.create's
+   Invalid_argument. *)
+let test_checkpoint_rejects_zero_shards () =
+  with_tmp_dir (fun dir ->
+      let manifest = Filename.concat dir Checkpoint.manifest_name in
+      write_file manifest
+        "service-manifest v1\nengine pd\nshard-fn id-mix-v1\nshards 0\n\
+         seq 0\n";
+      (match Checkpoint.load ~manifest with
+      | _ -> Alcotest.fail "a zero-shard manifest must not load"
+      | exception Failure m ->
+        Alcotest.(check bool) "names the shard count" true
+          (contains m "shards must be >= 1"));
+      match Service.restore ~manifest () with
+      | _ -> Alcotest.fail "restore must refuse a zero-shard manifest"
+      | exception Failure _ -> ())
+
 let test_checkpoint_prunes_superseded () =
   with_tmp_dir (fun dir ->
       let params _ = Online.params ~power:p3 ~machines:1 () in
@@ -409,5 +440,7 @@ let () =
             test_checkpoint_detects_corruption;
           Alcotest.test_case "prunes superseded" `Quick
             test_checkpoint_prunes_superseded;
+          Alcotest.test_case "rejects zero shards" `Quick
+            test_checkpoint_rejects_zero_shards;
         ] );
     ]
