@@ -47,16 +47,55 @@ let algorithm_conv =
   Arg.conv (parse, print)
 
 (* ------------------------------------------------------------------ *)
+(* Diagnostics and inputs                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every user-facing failure goes through here: a one-line diagnostic on
+   stderr (with the input line number whenever one is known) and exit 2
+   — the same discipline as bench-diff, never an uncaught exception with
+   a backtrace. *)
+let die cmd fmt =
+  Fmt.kstr
+    (fun msg ->
+      Printf.eprintf "psched %s: %s\n" cmd msg;
+      exit 2)
+    fmt
+
+let load_instance cmd file =
+  match Io.load file with
+  | inst -> inst
+  | exception (Failure m | Sys_error m) -> die cmd "%s" m
+
+let check_applicable cmd (alg : Driver.algorithm) inst =
+  if not (alg.applicable inst) then
+    die cmd "%s is not applicable to this instance" alg.name
+
+(* Run a stream loop over the input ('-' is stdin).  The reader's
+   line-numbered complaints and the loops' own end here as [die]. *)
+let with_input cmd input f =
+  let ic =
+    if input = "-" then stdin
+    else
+      match open_in input with
+      | ic -> ic
+      | exception Sys_error m -> die cmd "%s" m
+  in
+  match f ic with
+  | () -> if input <> "-" then close_in ic
+  | exception (Failure m | Sys_error m) -> die cmd "%s" m
+
+(* ------------------------------------------------------------------ *)
 (* Decision records (shared by `run --decisions-only` and `stream`)     *)
 (* ------------------------------------------------------------------ *)
 
 (* One canonical-JSON record per arrival.  The batch `run` fold and the
-   line-by-line `stream` front end both emit through here, so diffing
-   their outputs (the @stream-smoke alias) certifies that streaming an
-   instance reproduces the batch decisions byte for byte. *)
+   line-by-line `stream` front end both emit through [fold_arrive], so
+   diffing their outputs (the @stream-smoke alias) certifies that
+   streaming an instance reproduces the batch decisions byte for byte. *)
+let opt_float = function None -> Json.Null | Some f -> Json.Float f
+
 let decision_record ~seq ~plan_before (d : Online.decision)
     (plan : Schedule.t) =
-  let opt_float = function None -> Json.Null | Some f -> Json.Float f in
   let n_slices = List.length plan.slices in
   Json.Obj
     [
@@ -70,46 +109,44 @@ let decision_record ~seq ~plan_before (d : Online.decision)
       ("rejected", Json.Int (List.length plan.rejected));
     ]
 
-let summary_record ~algorithm ~power (decisions : Online.decision list)
-    (plan : Schedule.t) =
-  let accepted, rejected =
-    List.partition (fun (d : Online.decision) -> d.accepted) decisions
-  in
-  Json.Obj
-    [
-      ("summary", Json.Str algorithm);
-      ("jobs", Json.Int (List.length decisions));
-      ("accepted", Json.Int (List.length accepted));
-      ("rejected", Json.Int (List.length rejected));
-      ("plan_slices", Json.Int (List.length plan.slices));
-      ("energy", Json.Float (Schedule.energy power plan));
-    ]
+type fold = {
+  engine : Online.t;
+  records : bool;  (** print a decision record per arrival *)
+  mutable seq : int;
+  mutable accepted : int;
+  mutable plan_before : int;
+}
 
-(* Fold an online engine over arrivals, printing one record per arrival. *)
-let print_decision_fold t ~emit jobs =
-  let seq = ref 0 and plan_before = ref 0 in
-  let decisions_rev = ref [] in
-  List.iter
-    (fun j ->
-      let d = Online.arrive t j in
-      let plan = Online.current_plan t in
-      emit (decision_record ~seq:!seq ~plan_before:!plan_before d plan);
-      plan_before := List.length plan.Schedule.slices;
-      incr seq;
-      decisions_rev := d :: !decisions_rev)
-    jobs;
-  List.rev !decisions_rev
+let fold_start ~records engine =
+  { engine; records; seq = 0; accepted = 0; plan_before = 0 }
 
-let online_engine_of (alg : Driver.algorithm) =
-  match alg.engine with
-  | Some e -> e
-  | None ->
-    failwith
-      (Printf.sprintf
-         "%s is an offline algorithm; only online engines can stream \
-          (known: %s)"
-         alg.Driver.name
-         (String.concat ", " (List.map Online.name Online.all)))
+let fold_arrive f j =
+  let d = Online.arrive f.engine j in
+  if f.records then begin
+    let plan = Online.current_plan f.engine in
+    print_endline
+      (Json.to_string
+         (decision_record ~seq:f.seq ~plan_before:f.plan_before d plan));
+    f.plan_before <- List.length plan.Schedule.slices
+  end;
+  f.seq <- f.seq + 1;
+  if d.accepted then f.accepted <- f.accepted + 1
+
+let fold_summary f =
+  let plan = Online.finalize f.engine in
+  print_endline
+    (Json.to_string
+       (Json.Obj
+          [
+            ("summary", Json.Str (Online.name (Online.engine_of f.engine)));
+            ("jobs", Json.Int f.seq);
+            ("accepted", Json.Int f.accepted);
+            ("rejected", Json.Int (f.seq - f.accepted));
+            ("plan_slices", Json.Int (List.length plan.slices));
+            ( "energy",
+              Json.Float
+                (Schedule.energy (Online.params_of f.engine).power plan) );
+          ]))
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                             *)
@@ -147,7 +184,7 @@ let generate_cmd =
           ~sizes:(Uniform_size (0.3, 2.5))
           ~laxity:(0.4, 2.5)
           ~values:(Uniform_value (0.2, 20.0))
-      | other -> failwith (Printf.sprintf "unknown preset %S" other)
+      | other -> die "generate" "unknown preset %S" other
     in
     let text = Io.to_string inst in
     match out with
@@ -199,23 +236,25 @@ let run_cmd =
              algorithm.  Byte-compatible with `psched stream`.")
   in
   let run file algorithm show_schedule trace decisions_only =
-    let inst = Io.load file in
-    if not (algorithm.Driver.applicable inst) then
-      failwith
-        (Printf.sprintf "%s is not applicable to this instance"
-           algorithm.Driver.name);
+    let inst = load_instance "run" file in
+    check_applicable "run" algorithm inst;
     if decisions_only then begin
-      let e = online_engine_of algorithm in
-      let t = Online.start e (Online.params_of_instance inst) in
-      let decisions =
-        print_decision_fold t
-          ~emit:(fun r -> print_endline (Json.to_string r))
-          (Array.to_list inst.jobs)
+      let e =
+        match algorithm.engine with
+        | Some e -> e
+        | None ->
+          die "run"
+            "%s is an offline algorithm; only online engines stream \
+             (known: %s)"
+            algorithm.name
+            (String.concat ", " (List.map Online.name Online.all))
       in
-      print_endline
-        (Json.to_string
-           (summary_record ~algorithm:(Online.name e) ~power:inst.power
-              decisions (Online.finalize t)))
+      let f =
+        fold_start ~records:true
+          (Online.start e (Online.params_of_instance inst))
+      in
+      Array.iter (fold_arrive f) inst.jobs;
+      fold_summary f
     end
     else begin
       let r = Driver.evaluate ~clock:Unix.gettimeofday algorithm inst in
@@ -244,87 +283,6 @@ let run_cmd =
 (* ------------------------------------------------------------------ *)
 (* stream / serve                                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* Every user-facing failure of the streaming front ends goes through
-   here: a one-line diagnostic on stderr (with the input line number
-   whenever one is known) and exit 2 — the same discipline as
-   bench-diff, never an uncaught exception with a backtrace. *)
-let stream_die cmd fmt =
-  Fmt.kstr
-    (fun msg ->
-      Printf.eprintf "psched %s: %s\n" cmd msg;
-      exit 2)
-    fmt
-
-(* Parse the instance text format as an event stream, validating every
-   line as it is read.  Rejects — with line-numbered exit-2 errors —
-   anything [Job.make] would throw on later (NaN or negative workloads,
-   deadline <= release, ...), plus out-of-order arrivals and headers
-   after the first job, so the engines downstream only ever see
-   well-formed, release-ordered arrivals. *)
-let parse_stream ~cmd ic ~on_alpha ~on_machines ~on_job =
-  let fail lineno fmt = stream_die cmd ("line %d: " ^^ fmt) lineno in
-  let lineno = ref 0 in
-  let last_release = ref Float.neg_infinity in
-  let saw_job = ref false in
-  let parse_float what v =
-    match float_of_string_opt v with
-    | Some f -> f
-    | None -> fail !lineno "bad %s %S" what v
-  in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       let line = String.trim line in
-       if line = "" || line.[0] = '#' then ()
-       else
-         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-         | [ "alpha"; v ] ->
-           if !saw_job then fail !lineno "'alpha' header after the first job";
-           let a = parse_float "alpha" v in
-           if not (Float.is_finite a) then fail !lineno "bad alpha %S" v;
-           (match Power.make a with
-           | p -> on_alpha !lineno p
-           | exception Invalid_argument m -> fail !lineno "%s" m)
-         | [ "machines"; v ] -> (
-           if !saw_job then
-             fail !lineno "'machines' header after the first job";
-           match int_of_string_opt v with
-           | Some m when m >= 1 -> on_machines !lineno m
-           | Some m -> fail !lineno "machines must be >= 1, got %d" m
-           | None -> fail !lineno "bad machines %S" v)
-         | [ "job"; r; d; w; v ] ->
-           let release = parse_float "release" r in
-           let deadline = parse_float "deadline" d in
-           let workload = parse_float "workload" w in
-           let value =
-             if v = "inf" then Float.infinity else parse_float "value" v
-           in
-           if not (Float.is_finite release && release >= 0.) then
-             fail !lineno "release must be finite and >= 0, got %s" r;
-           if not (Float.is_finite deadline && deadline > release) then
-             fail !lineno
-               "deadline must be finite and exceed the release (deadline \
-                %s, release %s)"
-               d r;
-           if not (Float.is_finite workload && workload > 0.) then
-             fail !lineno "workload must be positive and finite, got %s" w;
-           if Float.is_nan value || value < 0. then
-             fail !lineno "value must be >= 0, got %s" v;
-           if release < !last_release then
-             fail !lineno
-               "release %s is before the previous arrival (%g); streams \
-                must be release-ordered"
-               r !last_release;
-           last_release := release;
-           saw_job := true;
-           on_job !lineno ~release ~deadline ~workload ~value
-         | _ -> fail !lineno "unrecognized %S" line
-     done
-   with End_of_file -> ())
-
-let opt_float = function None -> Json.Null | Some f -> Json.Float f
 
 (* Per-arrival record of the sharded path.  Unlike {!decision_record} it
    carries the shard and skips the plan fields: rebuilding the plan after
@@ -393,133 +351,92 @@ let sharded_summaries ~engine ~total_seq svc plans =
   in
   shard_rows @ [ global ]
 
-(* The sharded admission loop shared by `psched serve` and
-   `psched stream --shards`.  [kill_after] is the crash-injection hook
-   the @serve-soak alias uses: emit every record with seq < N, flush,
-   exit 0 — no summary, no drain-to-EOF — so a later --restore run can
-   be byte-diffed against the straight-through output. *)
-let run_sharded ~cmd ~engine ~delta ~shards:k ~workers ~snapshot_dir
+(* The sharded admission loop behind `psched serve`.  It stays apart
+   from `stream`'s single-engine fold because the two emit different
+   records: [sharded_record] carries the shard and no plan fields,
+   [decision_record] the plan fields @stream-smoke pins against `run`.
+   [kill_after] is the crash-injection hook the @serve-soak alias uses:
+   emit every record with seq < N, flush, exit 0 — no summary — so a
+   later --restore run can be byte-diffed against the straight-through
+   output. *)
+let run_sharded ~engine ~delta ~shards:k ~workers ~snapshot_dir
     ~snapshot_every ~restore ~kill_after ~migrate_every ~summary_only ic =
-  let fail fmt = stream_die cmd fmt in
-  if k < 1 then fail "--shards must be >= 1, got %d" k;
+  if k < 1 then die "serve" "--shards must be >= 1, got %d" k;
   (match workers with
-  | Some w when w < 1 -> fail "--workers must be >= 1, got %d" w
+  | Some w when w < 1 -> die "serve" "--workers must be >= 1, got %d" w
   | _ -> ());
-  let svc =
-    match restore with
-    | None -> ref None
-    | Some path ->
-      let manifest =
-        if Sys.file_exists path && Sys.is_directory path then
-          Filename.concat path Checkpoint.manifest_name
-        else path
-      in
-      let s =
-        match Service.restore ?workers ~manifest () with
-        | s -> s
-        | exception Failure m -> fail "%s" m
-      in
-      ref (Some s)
+  let restored =
+    Option.map
+      (fun path ->
+        let manifest =
+          if Sys.file_exists path && Sys.is_directory path then
+            Filename.concat path Checkpoint.manifest_name
+          else path
+        in
+        Service.restore ?workers ~manifest ())
+      restore
   in
-  let alpha = ref None and machines = ref None in
   let emit evs =
     if not summary_only then
       List.iter
         (fun ev -> print_endline (Json.to_string (sharded_record ev)))
         evs
   in
-  let killed = ref false in
-  let arrivals = ref 0 in
-  let get_svc lineno =
-    match !svc with
+  let start ~line ~power ~machines:m =
+    match restored with
     | Some s -> s
-    | None ->
-      let power =
-        match !alpha with
-        | Some p -> p
-        | None -> fail "line %d: job before the 'alpha' header line" lineno
-      in
-      let m =
-        match !machines with
-        | Some m -> m
-        | None ->
-          fail "line %d: job before the 'machines' header line" lineno
-      in
+    | None -> (
       if m < k then
-        fail
-          "line %d: %d machines cannot be split across %d shards (need \
-           machines >= shards)"
-          lineno m k;
+        Io.fail ~line
+          "%d machines cannot be split across %d shards (need machines >= \
+           shards)"
+          m k;
       (* Split the machine pool across the shards: m/k each, the first
          m mod k shards get one more. *)
       let params i =
         let mi = (m / k) + if i < m mod k then 1 else 0 in
         Online.params ?delta ~power ~machines:mi ()
       in
-      let s =
-        match Service.create ?workers ~engine ~params ~shards:k () with
-        | s -> s
-        | exception Invalid_argument m -> fail "line %d: %s" lineno m
-      in
-      svc := Some s;
-      s
+      match Service.create ?workers ~engine ~params ~shards:k () with
+      | s -> s
+      | exception Invalid_argument msg -> Io.fail ~line "%s" msg)
   in
-  let on_job lineno ~release ~deadline ~workload ~value =
-    if not !killed then begin
-      let s = get_svc lineno in
-      let idx = !arrivals in
-      incr arrivals;
-      (* A restored service replays nothing: the checkpoint already holds
-         the first [seq] arrivals, so this run just skips them. *)
-      if idx >= Service.seq s then begin
-        let j =
-          Job.make ~id:idx ~release ~deadline ~workload ~value
-        in
-        (match Service.submit s j with
-        | evs -> emit evs
-        | exception e -> fail "line %d: %s" lineno (Printexc.to_string e));
-        let seq = Service.seq s in
-        (match snapshot_dir with
-        | Some dir when snapshot_every > 0 && seq mod snapshot_every = 0 ->
-          Service.checkpoint s ~dir
-        | _ -> ());
-        if migrate_every > 0 && seq mod migrate_every = 0 then begin
-          let shard = seq / migrate_every mod Service.shards s in
-          let worker =
-            (Service.worker_of s ~shard + 1) mod Service.workers s
-          in
-          Service.migrate s ~shard ~worker
-        end;
-        match kill_after with
-        | Some n when seq >= n ->
-          emit (Service.drain s);
-          Service.shutdown s;
-          flush stdout;
-          killed := true
-        | _ -> ()
-      end
+  let arrive s ~line (j : Job.t) =
+    (* A restored service replays nothing: the checkpoint already holds
+       the first [seq] arrivals, so this run just skips them. *)
+    if j.id >= Service.seq s then begin
+      (match Service.submit s j with
+      | evs -> emit evs
+      | exception e -> Io.fail ~line "%s" (Printexc.to_string e));
+      let seq = Service.seq s in
+      (match snapshot_dir with
+      | Some dir when snapshot_every > 0 && seq mod snapshot_every = 0 ->
+        Service.checkpoint s ~dir
+      | _ -> ());
+      if migrate_every > 0 && seq mod migrate_every = 0 then begin
+        let shard = seq / migrate_every mod Service.shards s in
+        let worker = (Service.worker_of s ~shard + 1) mod Service.workers s in
+        Service.migrate s ~shard ~worker
+      end;
+      match kill_after with
+      | Some n when seq >= n ->
+        emit (Service.drain s);
+        Service.shutdown s;
+        exit 0
+      | _ -> ()
     end
   in
-  parse_stream ~cmd ic
-    ~on_alpha:(fun _ p -> alpha := Some p)
-    ~on_machines:(fun _ m -> machines := Some m)
-    ~on_job;
-  if not !killed then begin
-    match !svc with
-    | None -> fail "no jobs in the stream"
-    | Some s ->
-      emit (Service.drain s);
-      let plans = Service.finalize s in
-      List.iter
-        (fun row -> print_endline (Json.to_string row))
-        (sharded_summaries ~engine:(Service.engine s)
-           ~total_seq:(Service.seq s) s plans);
-      (match snapshot_dir with
-      | Some dir when snapshot_every = 0 -> Service.checkpoint s ~dir
-      | _ -> ());
-      Service.shutdown s
-  end;
-  if !killed then exit 0
+  let s = Io.read_stream ic ~start ~arrive in
+  emit (Service.drain s);
+  let plans = Service.finalize s in
+  List.iter
+    (fun row -> print_endline (Json.to_string row))
+    (sharded_summaries ~engine:(Service.engine s) ~total_seq:(Service.seq s)
+       s plans);
+  (match snapshot_dir with
+  | Some dir when snapshot_every = 0 -> Service.checkpoint s ~dir
+  | _ -> ());
+  Service.shutdown s
 
 let engine_conv =
   let parse s =
@@ -556,157 +473,26 @@ let stream_summary_only_arg =
     & info [ "summary-only" ]
         ~doc:
           "Suppress the per-arrival decision records; emit only the final \
-           summary record(s).  On the single-engine path this also skips \
-           the plan rebuild each record requires, making long soak \
-           streams linear instead of quadratic in the number of arrivals.")
-
-let stream_workers_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "workers" ]
-        ~doc:"Worker domains for the sharded path (default: one per shard).")
-
-let stream_snapshot_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "snapshot-dir" ]
-        ~doc:
-          "Checkpoint directory for the sharded path.  With \
-           --snapshot-every N a checkpoint is committed every N \
-           arrivals; without it, once after the last arrival.")
-
-let stream_snapshot_every_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "snapshot-every" ] ~docv:"N"
-        ~doc:"Commit a checkpoint to --snapshot-dir every N arrivals.")
-
-let stream_restore_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "restore" ] ~docv:"DIR|MANIFEST"
-        ~doc:
-          "Restore the service from a committed checkpoint (a directory \
-           containing a manifest, or the manifest path itself) before \
-           reading the stream; arrivals the checkpoint already covers \
-           are skipped.  Engine, shard count and per-shard parameters \
-           come from the manifest.")
-
-let stream_kill_after_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "kill-after" ] ~docv:"N"
-        ~doc:
-          "Crash injection for failover tests: emit the decision records \
-           for the first N arrivals, flush, and exit 0 — no summary.")
+           summary record(s).  For `stream` this also skips the plan \
+           rebuild each record requires, making long soak streams linear \
+           instead of quadratic in the number of arrivals.")
 
 let stream_cmd =
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Partition arrivals across K engine shards running on \
-             separate domains (default 1: the single-engine path, whose \
-             output is byte-identical to `psched run --decisions-only`, \
-             unless a sharded-only flag is given).")
-  in
-  let run input engine delta summary_only shards workers snapshot_dir
-      snapshot_every restore kill_after =
-    let cmd = "stream" in
-    let ic =
-      if input = "-" then stdin
-      else
-        match open_in input with
-        | ic -> ic
-        | exception Sys_error m -> stream_die cmd "%s" m
-    in
-    Fun.protect
-      ~finally:(fun () -> if input <> "-" then close_in ic)
-      (fun () ->
-        (* Any sharded-only flag selects the sharded loop, even at
-           K = 1, rather than being silently ignored. *)
-        if
-          shards > 1 || restore <> None || snapshot_dir <> None
-          || kill_after <> None || workers <> None
-        then
-          run_sharded ~cmd ~engine ~delta ~shards ~workers ~snapshot_dir
-            ~snapshot_every ~restore ~kill_after ~migrate_every:0
-            ~summary_only ic
-        else begin
-          (* Single-engine path: arrivals are consumed line by line, so
-             the engine demonstrably never sees a job before its line is
-             read.  Header lines (alpha, machines) must precede the
-             first job line. *)
-          let alpha = ref None and machines = ref None in
-          let state = ref None in
-          let seq = ref 0 and plan_before = ref 0 in
-          let decisions_rev = ref [] in
-          let on_job lineno ~release ~deadline ~workload ~value =
-            let t =
-              match !state with
-              | Some t -> t
-              | None ->
-                let power =
-                  match !alpha with
-                  | Some p -> p
-                  | None ->
-                    stream_die cmd
-                      "line %d: job before the 'alpha' header line" lineno
-                in
-                let m =
-                  match !machines with
-                  | Some m -> m
-                  | None ->
-                    stream_die cmd
-                      "line %d: job before the 'machines' header line"
-                      lineno
-                in
-                let t =
-                  Online.start engine
-                    (Online.params ?delta ~power ~machines:m ())
-                in
-                state := Some t;
-                t
-            in
-            let j =
-              Job.make ~id:!seq ~release ~deadline ~workload ~value
-            in
-            let dec =
-              match Online.arrive t j with
-              | d -> d
-              | exception e ->
-                stream_die cmd "line %d: %s" lineno (Printexc.to_string e)
-            in
-            if not summary_only then begin
-              let plan = Online.current_plan t in
-              print_endline
-                (Json.to_string
-                   (decision_record ~seq:!seq ~plan_before:!plan_before dec
-                      plan));
-              plan_before := List.length plan.Schedule.slices
-            end;
-            incr seq;
-            decisions_rev := dec :: !decisions_rev
-          in
-          parse_stream ~cmd ic
-            ~on_alpha:(fun _ p -> alpha := Some p)
-            ~on_machines:(fun _ m -> machines := Some m)
-            ~on_job;
-          match !state with
-          | None -> stream_die cmd "no jobs in the stream"
-          | Some t ->
-            let power = (Online.params_of t).Online.power in
-            print_endline
-              (Json.to_string
-                 (summary_record ~algorithm:(Online.name engine) ~power
-                    (List.rev !decisions_rev)
-                    (Online.finalize t)))
-        end)
+  let run input engine delta summary_only =
+    with_input "stream" input (fun ic ->
+        let start ~line ~power ~machines =
+          match
+            Online.start engine (Online.params ?delta ~power ~machines ())
+          with
+          | t -> fold_start ~records:(not summary_only) t
+          | exception Invalid_argument m -> Io.fail ~line "%s" m
+        in
+        let arrive f ~line j =
+          match fold_arrive f j with
+          | () -> ()
+          | exception Invalid_argument m -> Io.fail ~line "%s" m
+        in
+        fold_summary (Io.read_stream ic ~start ~arrive))
   in
   let info =
     Cmd.info "stream"
@@ -726,23 +512,17 @@ let stream_cmd =
              the same instance, which is the online=batch equivalence the \
              @stream-smoke alias checks.";
           `P
-            "With --shards K > 1, or with any of --restore, \
-             --snapshot-dir, --kill-after or --workers (even at K = 1), \
-             the arrivals are hash-partitioned across K engine instances \
-             running on separate domains and the output is the sharded \
-             record stream — see `psched serve` for the long-running \
-             front end with checkpointing and live migration.  Malformed \
-             streams (NaN or non-positive workloads, deadline <= \
-             release, out-of-order arrivals, missing headers) are \
-             rejected with a line-numbered message and exit status 2.";
+            "Malformed streams (NaN or non-positive workloads, deadline <= \
+             release, out-of-order arrivals, missing headers) are rejected \
+             with a line-numbered message and exit status 2.  To shard \
+             the arrivals across engines, checkpoint or restore, use \
+             `psched serve`.";
         ]
   in
   Cmd.v info
     Term.(
       const run $ stream_input_arg $ stream_engine_arg $ stream_delta_arg
-      $ stream_summary_only_arg $ shards $ stream_workers_arg
-      $ stream_snapshot_dir_arg $ stream_snapshot_every_arg
-      $ stream_restore_arg $ stream_kill_after_arg)
+      $ stream_summary_only_arg)
 
 let serve_cmd =
   let shards =
@@ -750,6 +530,50 @@ let serve_cmd =
       value & opt int 4
       & info [ "shards" ] ~docv:"K"
           ~doc:"Engine shards to partition arrivals across (default 4).")
+  in
+  let workers =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "workers" ]
+          ~doc:"Worker domains (default: one per shard).")
+  in
+  let snapshot_dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "snapshot-dir" ]
+          ~doc:
+            "Checkpoint directory.  With --snapshot-every N a checkpoint \
+             is committed every N arrivals; without it, once after the \
+             last arrival.")
+  in
+  let snapshot_every =
+    Arg.(
+      value & opt int 0
+      & info [ "snapshot-every" ] ~docv:"N"
+          ~doc:"Commit a checkpoint to --snapshot-dir every N arrivals.")
+  in
+  let restore =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "restore" ] ~docv:"DIR|MANIFEST"
+          ~doc:
+            "Restore the service from a committed checkpoint (a directory \
+             containing a manifest, or the manifest path itself) before \
+             reading the stream; arrivals the checkpoint already covers \
+             are skipped.  Engine, shard count and per-shard parameters \
+             come from the manifest.")
+  in
+  let kill_after =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "kill-after" ] ~docv:"N"
+          ~doc:
+            "Crash injection for failover tests: emit the decision records \
+             for the first N arrivals, flush, and exit 0 — no summary.")
   in
   let migrate_every =
     Arg.(
@@ -762,20 +586,9 @@ let serve_cmd =
   in
   let run input engine delta summary_only shards workers snapshot_dir
       snapshot_every restore kill_after migrate_every =
-    let cmd = "serve" in
-    let ic =
-      if input = "-" then stdin
-      else
-        match open_in input with
-        | ic -> ic
-        | exception Sys_error m -> stream_die cmd "%s" m
-    in
-    Fun.protect
-      ~finally:(fun () -> if input <> "-" then close_in ic)
-      (fun () ->
-        run_sharded ~cmd ~engine ~delta ~shards ~workers ~snapshot_dir
-          ~snapshot_every ~restore ~kill_after ~migrate_every ~summary_only
-          ic)
+    with_input "serve" input
+      (run_sharded ~engine ~delta ~shards ~workers ~snapshot_dir
+         ~snapshot_every ~restore ~kill_after ~migrate_every ~summary_only)
   in
   let info =
     Cmd.info "serve"
@@ -808,9 +621,8 @@ let serve_cmd =
   Cmd.v info
     Term.(
       const run $ stream_input_arg $ stream_engine_arg $ stream_delta_arg
-      $ stream_summary_only_arg $ shards $ stream_workers_arg
-      $ stream_snapshot_dir_arg $ stream_snapshot_every_arg
-      $ stream_restore_arg $ stream_kill_after_arg $ migrate_every)
+      $ stream_summary_only_arg $ shards $ workers $ snapshot_dir
+      $ snapshot_every $ restore $ kill_after $ migrate_every)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                              *)
@@ -818,7 +630,7 @@ let serve_cmd =
 
 let compare_cmd =
   let run file =
-    let inst = Io.load file in
+    let inst = load_instance "compare" file in
     Printf.printf "instance: %s\n\n" (Format.asprintf "%a" Instance.pp inst);
     List.iter
       (fun alg ->
@@ -867,7 +679,7 @@ let engines_cmd =
 
 let certify_cmd =
   let run file =
-    let inst = Io.load file in
+    let inst = load_instance "certify" file in
     let r = Speedscale_core.Pd.run inst in
     let cost = Cost.total r.cost in
     Printf.printf "PD cost            : %.6f\n" cost;
@@ -892,7 +704,7 @@ let certify_cmd =
 
 let analyze_cmd =
   let run file =
-    let inst = Io.load file in
+    let inst = load_instance "analyze" file in
     let r = Speedscale_core.Pd.run inst in
     let a = Speedscale_core.Analysis.analyze inst r in
     Printf.printf "%-5s %-11s %9s %9s %9s %9s %9s\n" "job" "category"
@@ -923,7 +735,7 @@ let analyze_cmd =
 
 let provision_cmd =
   let run file =
-    let inst = Io.load file in
+    let inst = load_instance "provision" file in
     let must = Instance.with_values inst (fun _ -> Float.infinity) in
     Printf.printf "%-4s %14s\n" "m" "min speed cap";
     List.iter
@@ -955,7 +767,7 @@ let replay_cmd =
       & info [ "csv" ] ~doc:"Write the event trace to this CSV file.")
   in
   let run file csv =
-    let inst = Io.load file in
+    let inst = load_instance "replay" file in
     let r = Speedscale_core.Pd.run inst in
     let run = Speedscale_engine.Executor.replay inst r.schedule in
     List.iter
@@ -1042,11 +854,8 @@ let gantt_cmd =
     Arg.(value & opt int 72 & info [ "width" ] ~doc:"Chart width in columns.")
   in
   let run file algorithm width =
-    let inst = Io.load file in
-    if not (algorithm.Driver.applicable inst) then
-      failwith
-        (Printf.sprintf "%s is not applicable to this instance"
-           algorithm.Driver.name);
+    let inst = load_instance "gantt" file in
+    check_applicable "gantt" algorithm inst;
     let r = Driver.evaluate ~clock:Unix.gettimeofday algorithm inst in
     Printf.printf "%s on %s\n\n" r.algorithm
       (Format.asprintf "%a" Instance.pp inst);

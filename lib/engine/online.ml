@@ -74,10 +74,7 @@ let render_snapshot ~name ~(p : params) (jobs : Job.t list) =
   pf "machines %d\n" p.machines;
   (match p.delta with None -> () | Some d -> pf "delta %.17g\n" d);
   List.iter
-    (fun (j : Job.t) ->
-      pf "job %d %.17g %.17g %.17g %s\n" j.id j.release j.deadline j.workload
-        (if Float.equal j.value Float.infinity then "inf"
-         else Fmt.str "%.17g" j.value))
+    (fun (j : Job.t) -> Buffer.add_string b (Io.job_line ~id:j.id j))
     jobs;
   Buffer.contents b
 
@@ -87,80 +84,51 @@ type parsed_snapshot = {
   s_jobs : Job.t list;  (** in arrival order *)
 }
 
+(* Header, number and job-field checks are Io's; this reader adds the
+   [engine] and [delta] lines and explicit job ids. *)
 let parse_snapshot s =
-  let fail lineno fmt =
-    Fmt.kstr (fun m -> failwith (Fmt.str "Online.restore: line %d: %s" lineno m)) fmt
-  in
   let engine = ref None
   and alpha = ref None
   and machines = ref None
   and delta = ref None
   and jobs_rev = ref [] in
-  let parse_float what lineno v =
-    match float_of_string_opt v with
-    | Some f -> f
-    | None -> fail lineno "bad %s %S" what v
-  in
-  (* Job.make, Power.make and params validate with Invalid_argument; a
-     snapshot is input, so their complaints become line-numbered
-     Failures like every other parse error. *)
-  let checked lineno f =
-    match f () with
-    | v -> v
-    | exception Invalid_argument m -> fail lineno "%s" m
-  in
   let lines = String.split_on_char '\n' s in
   (match lines with
   | first :: _ when String.trim first = "online-snapshot v1" -> ()
   | _ -> failwith "Online.restore: not an online-snapshot v1");
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let line = String.trim line in
-      if lineno = 1 || line = "" || line.[0] = '#' then ()
-      else
-        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-        | [ "engine"; name ] -> engine := Some name
-        | [ "alpha"; v ] ->
-          let a = parse_float "alpha" lineno v in
-          alpha := Some (checked lineno (fun () -> Power.make a))
-        | [ "machines"; v ] -> (
-          match int_of_string_opt v with
-          | Some m -> machines := Some (lineno, m)
-          | None -> fail lineno "bad machines %S" v)
-        | [ "delta"; v ] -> delta := Some (parse_float "delta" lineno v)
-        | [ "job"; id; r; d; w; v ] ->
-          let id =
-            match int_of_string_opt id with
-            | Some id -> id
-            | None -> fail lineno "bad job id %S" id
-          in
-          let value =
-            if v = "inf" then Float.infinity
-            else parse_float "value" lineno v
-          in
-          let release = parse_float "release" lineno r
-          and deadline = parse_float "deadline" lineno d
-          and workload = parse_float "workload" lineno w in
-          jobs_rev :=
-            checked lineno (fun () ->
-                Job.make ~id ~release ~deadline ~workload ~value)
-            :: !jobs_rev
-        | _ -> fail lineno "unrecognized %S" line)
-    lines;
-  let need what = function
-    | Some v -> v
-    | None -> failwith (Fmt.str "Online.restore: missing '%s' line" what)
-  in
-  let power = need "alpha" !alpha in
-  let machines_line, machines = need "machines" !machines in
-  {
-    s_engine = need "engine" !engine;
-    s_params =
-      checked machines_line (fun () ->
-          params ?delta:!delta ~power ~machines ());
-    s_jobs = List.rev !jobs_rev;
-  }
+  match
+    List.iteri
+      (fun i text ->
+        let line = i + 1 in
+        if line > 1 then
+          match Io.tokens text with
+          | [] -> ()
+          | [ "engine"; name ] -> engine := Some name
+          | [ "alpha"; v ] -> alpha := Some (Io.power ~line v)
+          | [ "machines"; v ] -> machines := Some (Io.machines ~line v)
+          | [ "delta"; v ] -> delta := Some (Io.number ~line "delta" v)
+          | [ "job"; id; r; d; w; v ] ->
+            let id =
+              match int_of_string_opt id with
+              | Some id -> id
+              | None -> Io.fail ~line "bad job id %S" id
+            in
+            jobs_rev := Io.job ~line ~id r d w v :: !jobs_rev
+          | _ -> Io.fail ~line "unrecognized %S" (String.trim text))
+      lines;
+    let need what = function
+      | Some v -> v
+      | None -> failwith (Fmt.str "missing '%s' line" what)
+    in
+    let power = need "alpha" !alpha and machines = need "machines" !machines in
+    {
+      s_engine = need "engine" !engine;
+      s_params = params ?delta:!delta ~power ~machines ();
+      s_jobs = List.rev !jobs_rev;
+    }
+  with
+  | parsed -> parsed
+  | exception Failure m -> failwith ("Online.restore: " ^ m)
 
 (* ------------------------------------------------------------------ *)
 (* The engine signature and the wrapper functor                          *)

@@ -125,3 +125,8 @@ let flow_on t ~src ~dst =
     end
   done;
   !acc
+
+(* The last BFS of [max_flow] is the one that failed to reach the sink,
+   so its level array marks exactly the residual-reachable nodes. *)
+let source_side t =
+  Array.init t.n (fun v -> v < Array.length t.level && t.level.(v) >= 0)

@@ -27,3 +27,8 @@ val max_flow : t -> float
 
 val flow_on : t -> src:int -> dst:int -> float
 (** Total flow currently routed on edges [src -> dst] (0 if none). *)
+
+val source_side : t -> bool array
+(** After {!max_flow}: [a.(v)] is [true] when node [v] is reachable from
+    the source in the residual network — the source side of the minimal
+    minimum cut.  All [false] before {!max_flow} has run. *)

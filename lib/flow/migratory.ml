@@ -83,22 +83,36 @@ let min_free_level (inst : Instance.t) tl speeds =
   in
   certify level (16.0 *. Feq.tol_snap) 24
 
-(* A free job is critical at level [s] when slowing it alone by the probe
-   factor theta breaks feasibility — the flow is pinched through its
-   window, so the optimum must run it at exactly [s]. *)
+(* Probe factor of {!certify}'s pinched test: slowing a whole level by
+   it must break feasibility. *)
 let theta = 100.0 *. Feq.tol_loose
 
+(* The free jobs that must run at exactly [level]: the union of the job
+   sets the flow pinches there.  Just below the level exactly that union
+   falls short, so it is the free part of the source side of a minimum
+   cut (ABKL's criterion).  Slowing one job at a time by a fixed probe
+   factor would also freeze every job whose own optimal level lies
+   within that factor below [level].  The probe starts just past the
+   level's certification slack and backs off geometrically until the
+   network is short. *)
 let critical_jobs (inst : Instance.t) tl speeds ~level =
-  let n = Instance.n_jobs inst in
-  let critical = ref [] in
-  for j = n - 1 downto 0 do
-    if speeds.(j) = None then begin
-      let times = times_at inst speeds ~free_level:level in
-      times.(j) <- (Instance.job inst j).workload /. (level *. (1.0 -. theta));
-      if not (feasible_times inst tl ~times) then critical := j :: !critical
-    end
-  done;
-  !critical
+  let free =
+    List.filter
+      (fun j -> speeds.(j) = None)
+      (List.init (Instance.n_jobs inst) Fun.id)
+  in
+  let rec probe gap budget =
+    let times = times_at inst speeds ~free_level:(level *. (1.0 -. gap)) in
+    let net, job_node, _ = build_network inst tl ~times in
+    ignore (Dinic.max_flow net);
+    let side = Dinic.source_side net in
+    match List.filter (fun j -> side.(job_node j)) free with
+    | [] when budget = 0 ->
+      failwith "Migratory.solve: no job falls short below the level"
+    | [] -> probe (2.0 *. gap) (budget - 1)
+    | critical -> critical
+  in
+  probe (16.0 *. Feq.tol_snap) 24
 
 type result = {
   energy : float;
@@ -124,23 +138,11 @@ let solve (inst : Instance.t) =
     while !remaining > 0 do
       let level = min_free_level inst tl speeds in
       levels := level :: !levels;
-      let freeze js =
-        List.iter
-          (fun j ->
-            speeds.(j) <- Some level;
-            remaining := !remaining - 1)
-          js
-      in
-      match critical_jobs inst tl speeds ~level with
-      | [] ->
-        (* numerically nothing pinches individually (ties): the level is
-           still minimal, so every remaining job runs at it *)
-        let all_free = ref [] in
-        for j = n - 1 downto 0 do
-          if speeds.(j) = None then all_free := j :: !all_free
-        done;
-        freeze !all_free
-      | critical -> freeze critical
+      List.iter
+        (fun j ->
+          speeds.(j) <- Some level;
+          decr remaining)
+        (critical_jobs inst tl speeds ~level)
     done;
     let speeds =
       Array.map

@@ -11,9 +11,10 @@
 
     {v source --w_j/s_j--> job_j --l_k--> interval_k --m·l_k--> sink v}
 
-    — then freezes exactly the jobs whose flow is pinched at [s]
-    (slowing such a job alone breaks feasibility).  Termination: every
-    round freezes at least one job.
+    — then freezes exactly the jobs whose flow is pinched at [s]: the
+    free jobs on the source side of a minimum cut just below [s], where
+    the pinched set falls short.  Termination: every round freezes at
+    least one job.
 
     This is the combinatorial, certificate-carrying counterpart of
     {!Speedscale_multi.Mopt} (the projected-gradient solver): [Mopt]

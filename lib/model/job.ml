@@ -6,15 +6,21 @@ type t = {
   value : float;
 }
 
+let invalid id fmt =
+  Fmt.kstr (fun m -> invalid_arg (Fmt.str "Job.make(id=%d): %s" id m)) fmt
+
 let make ~id ~release ~deadline ~workload ~value =
-  let fail msg = invalid_arg (Fmt.str "Job.make(id=%d): %s" id msg) in
   if not (Float.is_finite release) || release < 0.0 then
-    fail "release must be finite >= 0";
+    invalid id "release must be finite and >= 0, got %g" release;
   if not (Float.is_finite deadline) || deadline <= release then
-    fail "deadline must be finite > release";
+    invalid id
+      "deadline must be finite and exceed the release (deadline %g, release \
+       %g)"
+      deadline release;
   if not (Float.is_finite workload) || workload <= 0.0 then
-    fail "workload must be finite > 0";
-  if Float.is_nan value || value < 0.0 then fail "value must be >= 0";
+    invalid id "workload must be positive and finite, got %g" workload;
+  if Float.is_nan value || value < 0.0 then
+    invalid id "value must be >= 0, got %g" value;
   { id; release; deadline; workload; value }
 
 let span j = j.deadline -. j.release

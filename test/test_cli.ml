@@ -169,10 +169,60 @@ let test_unknown_algorithm_fails () =
       let code, _ = run_capture [ "run"; path; "-a"; "nonsense" ] in
       Alcotest.(check bool) "non-zero exit" true (code <> 0))
 
+(* Every subcommand that loads an instance file ends malformed input in
+   a one-line `psched <cmd>: ...` diagnostic with exit 2, like the
+   stream loops. *)
+let check_one_line_exit_2 name args markers =
+  let code, out = run_capture args in
+  Alcotest.(check int) (name ^ ": exit 2") 2 code;
+  Alcotest.(check int)
+    (name ^ ": one line: " ^ out)
+    1
+    (List.length (List.filter (( <> ) "") (String.split_on_char '\n' out)));
+  List.iter
+    (fun m ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: mentions %S" name m)
+        true (contains out m))
+    markers
+
+let test_batch_rejects_malformed () =
+  let file = Filename.temp_file "psched" ".inst" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun (name, text, markers) ->
+          write_file file text;
+          check_one_line_exit_2 ("run " ^ name) [ "run"; file ]
+            ("psched run:" :: markers))
+        [
+          ("nan workload", "alpha 3\nmachines 1\njob 0 1 nan 5\n",
+           [ "line 3"; "workload must be positive and finite" ]);
+          ("nan alpha", "alpha nan\nmachines 1\njob 0 1 1 5\n",
+           [ "line 1"; "alpha" ]);
+          ("zero machines", "alpha 3\nmachines 0\njob 0 1 1 5\n",
+           [ "line 2"; "machines must be >= 1" ]);
+          ("bad alpha", "alpha x\nmachines 1\njob 0 1 1 5\n",
+           [ "line 1"; "bad alpha" ]);
+          ("deadline before release", "alpha 3\nmachines 1\njob 2 1 1 5\n",
+           [ "line 3"; "deadline" ]);
+        ];
+      write_file file "alpha 3\nmachines 1\njob 0 1 nan 5\n";
+      List.iter
+        (fun cmd ->
+          check_one_line_exit_2 cmd [ cmd; file ]
+            [ "psched " ^ cmd ^ ":"; "line 3"; "workload" ])
+        [ "certify"; "compare"; "analyze"; "provision"; "replay"; "gantt" ]);
+  with_instance (fun path ->
+      check_one_line_exit_2 "run -a oa on m=2" [ "run"; path; "-a"; "oa" ]
+        [ "psched run:"; "not applicable" ])
+
 (* ---------------- stream error paths ---------------- *)
 
 (* Malformed streams must die with a line-numbered one-liner on stderr
-   and exit status 2 — never an uncaught exception with a backtrace. *)
+   and exit status 2 — never an uncaught exception with a backtrace —
+   through either stream loop, since both read with Io.read_stream. *)
 let with_stream text f =
   let path = Filename.temp_file "psched" ".stream" in
   Fun.protect
@@ -185,17 +235,21 @@ let with_stream text f =
 
 let check_stream_error name text markers =
   with_stream text (fun path ->
-      let code, out = run_capture [ "stream"; path ] in
-      Alcotest.(check int) (name ^ ": exit 2") 2 code;
-      Alcotest.(check bool)
-        (name ^ ": no backtrace") false
-        (contains out "Raised at");
       List.iter
-        (fun m ->
+        (fun args ->
+          let name = List.hd args ^ " " ^ name in
+          let code, out = run_capture args in
+          Alcotest.(check int) (name ^ ": exit 2") 2 code;
           Alcotest.(check bool)
-            (Printf.sprintf "%s: mentions %S" name m)
-            true (contains out m))
-        markers)
+            (name ^ ": no backtrace") false
+            (contains out "Raised at");
+          List.iter
+            (fun m ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: mentions %S" name m)
+                true (contains out m))
+            markers)
+        [ [ "stream"; path ]; [ "serve"; path; "--shards"; "1" ] ])
 
 let test_stream_rejects_malformed () =
   check_stream_error "nan workload" "alpha 3\nmachines 1\njob 0 1 nan 5\n"
@@ -228,10 +282,21 @@ let test_stream_unreadable_input () =
 let test_stream_bad_restore () =
   with_stream "alpha 3\nmachines 2\njob 0 1 1 5\n" (fun path ->
       let code, out =
-        run_capture [ "stream"; path; "--restore"; "/nonexistent" ]
+        run_capture [ "serve"; path; "--restore"; "/nonexistent" ]
       in
       Alcotest.(check int) "exit 2" 2 code;
       Alcotest.(check bool) "no backtrace" false (contains out "Raised at"))
+
+(* `serve` is the only sharded front end: `stream` no longer takes the
+   sharded flags, and passing one is a usage error. *)
+let test_stream_rejects_sharded_flags () =
+  with_stream "alpha 3\nmachines 2\njob 0 1 1 5\n" (fun path ->
+      let code, out = run_capture [ "stream"; path; "--restore"; "/tmp" ] in
+      Alcotest.(check bool) "non-zero exit" true (code <> 0);
+      Alcotest.(check bool) "no backtrace" false (contains out "Raised at");
+      Alcotest.(check bool)
+        "names the option" true
+        (contains out "--restore"))
 
 let test_stream_sharded_needs_machines () =
   with_stream "alpha 3\nmachines 1\njob 0 1 1 5\n" (fun path ->
@@ -245,8 +310,7 @@ let test_stream_sharded_needs_machines () =
    kill mid-stream after a checkpoint, restore, and require the stitched
    output to be byte-identical to the straight-through run.  [straight]
    and [sharded] are the flags of the straight-through and the killed
-   run; at the default --shards 1 the killed run has only
-   --snapshot-dir and --kill-after to select the sharded loop. *)
+   run. *)
 let check_kill_restore name ~straight ~sharded =
   with_tmp_dir (fun tmp ->
       let inst = Filename.concat tmp "inst.txt"
@@ -257,16 +321,16 @@ let check_kill_restore name ~straight ~sharded =
             "--seed"; "7"; "-o"; inst ]
       in
       Alcotest.(check int) "generate" 0 code;
-      let code, full = run_capture ([ "stream"; inst ] @ straight) in
+      let code, full = run_capture ([ "serve"; inst ] @ straight) in
       Alcotest.(check int) (name ^ ": full run") 0 code;
       let code, part1 =
         run_capture
-          ([ "stream"; inst ] @ sharded
+          ([ "serve"; inst ] @ sharded
           @ [ "--snapshot-dir"; dir; "--snapshot-every"; "40";
               "--kill-after"; "100" ])
       in
       Alcotest.(check int) (name ^ ": killed run exits 0") 0 code;
-      let code, part2 = run_capture [ "stream"; inst; "--restore"; dir ] in
+      let code, part2 = run_capture [ "serve"; inst; "--restore"; dir ] in
       Alcotest.(check int) (name ^ ": restored run") 0 code;
       (* records are 8 lines each; the last committed checkpoint is at
          seq 80, so the restored run re-emits from there *)
@@ -282,12 +346,14 @@ let check_kill_restore name ~straight ~sharded =
 let test_stream_kill_restore_byte_identical () =
   check_kill_restore "k=4" ~straight:[ "--shards"; "4" ]
     ~sharded:[ "--shards"; "4" ];
-  check_kill_restore "k=1" ~straight:[ "--workers"; "1" ] ~sharded:[]
+  check_kill_restore "k=1"
+    ~straight:[ "--shards"; "1"; "--workers"; "1" ]
+    ~sharded:[ "--shards"; "1" ]
 
-(* At the default --shards 1, --snapshot-dir alone selects the sharded
-   loop and commits a checkpoint after the last arrival, which --restore
-   reads back: it covers every arrival, so only the summary records
-   remain, and they match the live run's. *)
+(* At --shards 1 without --snapshot-every, --snapshot-dir commits a
+   checkpoint after the last arrival, which --restore reads back: it
+   covers every arrival, so only the summary records remain, and they
+   match the live run's. *)
 let test_stream_k1_snapshot_dir_restores () =
   with_tmp_dir (fun tmp ->
       let inst = Filename.concat tmp "inst.txt"
@@ -298,9 +364,11 @@ let test_stream_k1_snapshot_dir_restores () =
             "--seed"; "7"; "-o"; inst ]
       in
       Alcotest.(check int) "generate" 0 code;
-      let code, full = run_capture [ "stream"; inst; "--snapshot-dir"; dir ] in
+      let code, full =
+        run_capture [ "serve"; inst; "--shards"; "1"; "--snapshot-dir"; dir ]
+      in
       Alcotest.(check int) "--snapshot-dir run" 0 code;
-      let code, back = run_capture [ "stream"; inst; "--restore"; dir ] in
+      let code, back = run_capture [ "serve"; inst; "--restore"; dir ] in
       Alcotest.(check int) "restore of the k=1 checkpoint" 0 code;
       let n = String.length full and k = String.length back in
       Alcotest.(check bool)
@@ -329,32 +397,17 @@ let test_restore_crafted_inputs () =
                 Printf.sprintf "shard 0 %s %s\n" file
                   (Digest.to_hex (Digest.string snap))))
       in
-      let one_line_exit_2 name args markers =
-        let code, out = run_capture args in
-        Alcotest.(check int) (name ^ ": exit 2") 2 code;
-        Alcotest.(check int)
-          (name ^ ": one line: " ^ out)
-          1
-          (List.length
-             (List.filter (( <> ) "") (String.split_on_char '\n' out)));
-        List.iter
-          (fun m ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: mentions %S" name m)
-              true (contains out m))
-          markers
-      in
       let header = "online-snapshot v1\nengine pd\nalpha 3\nmachines 1\n" in
       manifest ~shards:1 (header ^ "job 0 1 1 1 1\n");
-      one_line_exit_2 "deadline <= release in a snapshot"
-        [ "stream"; stream; "--restore"; dir ]
+      check_one_line_exit_2 "deadline <= release in a snapshot"
+        [ "serve"; stream; "--restore"; dir ]
         [ "line 5"; "deadline" ];
       manifest ~shards:0 header;
-      one_line_exit_2 "zero-shard manifest"
-        [ "stream"; stream; "--restore"; dir ]
+      check_one_line_exit_2 "zero-shard manifest"
+        [ "serve"; stream; "--restore"; dir ]
         [ "shards must be >= 1" ];
       manifest ~shards:1 header;
-      one_line_exit_2 "--workers 0"
+      check_one_line_exit_2 "--workers 0"
         [ "serve"; stream; "--restore"; dir; "--workers"; "0" ]
         [ "--workers must be >= 1" ])
 
@@ -546,6 +599,8 @@ let () =
           Alcotest.test_case "gantt" `Quick test_gantt;
           Alcotest.test_case "unknown algorithm" `Quick
             test_unknown_algorithm_fails;
+          Alcotest.test_case "malformed instances" `Quick
+            test_batch_rejects_malformed;
         ] );
       ( "stream",
         [
@@ -554,6 +609,8 @@ let () =
           Alcotest.test_case "unreadable input" `Quick
             test_stream_unreadable_input;
           Alcotest.test_case "bad --restore" `Quick test_stream_bad_restore;
+          Alcotest.test_case "no sharded flags on stream" `Quick
+            test_stream_rejects_sharded_flags;
           Alcotest.test_case "machines < shards" `Quick
             test_stream_sharded_needs_machines;
           Alcotest.test_case "kill/restore byte-identical" `Quick

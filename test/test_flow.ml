@@ -313,6 +313,25 @@ let prop_migratory_matches_mopt =
         QCheck.Test.fail_reportf "peeling %.12g vs PGD %.12g" peel pgd
       else true)
 
+(* A near-tie the random property once hit: job 2's own density
+   (1.625427) sits 2e-5 above the density of jobs 1 and 2 together, so
+   job 1 has slack below the freeze probe's perturbation at the first
+   level.  Freezing it there cost 2e-5 of relative energy. *)
+let test_migratory_near_tie_matches_yds () =
+  let inst =
+    inst_of ~machines:1
+      [
+        (3.72515, 6.56813, 1.578);
+        (0.769185, 2.43553, 1.74051);
+        (1.84004, 3.02072, 1.91912);
+      ]
+  in
+  let r = Migratory.solve inst in
+  let yds = Speedscale_single.Yds.energy p2 (Array.to_list inst.jobs) in
+  Alcotest.(check (float (1e-8 *. (1.0 +. yds)))) "energy = YDS" yds r.energy;
+  let c = Migratory.certify inst r in
+  Alcotest.(check bool) "certified" true (c.feasible && c.pinched)
+
 let test_migratory_single_job () =
   (* one job on two machines: runs at its density on one machine *)
   let inst = Instance.make ~power:p2 ~machines:2 [ mk_job ~id:0 ~r:0.0 ~d:2.0 ~w:4.0 ] in
@@ -353,6 +372,8 @@ let () =
       ( "migratory",
         [
           Alcotest.test_case "single job" `Quick test_migratory_single_job;
+          Alcotest.test_case "near-tie levels = YDS" `Quick
+            test_migratory_near_tie_matches_yds;
           q prop_migratory_matches_yds_single;
           q prop_migratory_schedule_valid_and_certified;
           q prop_migratory_matches_mopt;

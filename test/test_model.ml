@@ -361,15 +361,90 @@ let test_io_file_roundtrip () =
       let inst' = Io.load path in
       check_float "workload survives disk" 1.0 (Instance.job inst' 0).workload)
 
-(* The parser must never crash with anything other than Failure /
-   Invalid_argument, no matter the bytes. *)
+(* Garbage for the arrival-format readers: arbitrary printable bytes, or
+   lines built from the format's own words and from numbers the field
+   checks must refuse, so the line grammar and every check are reached. *)
+let gen_garbage =
+  let open QCheck.Gen in
+  let number =
+    oneofl
+      [ "nan"; "inf"; "-inf"; "-1"; "0"; "1"; "2"; "3"; "0.5"; "1e308"; "x";
+        "1e-320"; "pd" ]
+  in
+  let line =
+    oneof
+      [
+        map2
+          (fun k n -> k ^ " " ^ n)
+          (oneofl [ "alpha"; "machines"; "delta"; "engine" ])
+          number;
+        map
+          (fun ns -> String.concat " " ("job" :: ns))
+          (list_size (4 -- 5) number);
+        map (String.concat " ")
+          (list_size (0 -- 6)
+             (oneof [ number; oneofl [ "job"; "alpha"; "#" ] ]));
+      ]
+  in
+  (* a well-formed skeleton, so the field checks see the bad numbers *)
+  let doc =
+    map
+      (fun (a, m, jobs) ->
+        String.concat "\n"
+          (("alpha " ^ a) :: ("machines " ^ m) :: List.map (( ^ ) "job ") jobs))
+      (triple number number
+         (list_size (1 -- 3)
+            (map (String.concat " ") (list_size (return 4) number))))
+  in
+  oneof
+    [
+      string_printable;
+      map (String.concat "\n") (list_size (0 -- 8) line);
+      doc;
+    ]
+
+let arb_garbage = QCheck.make ~print:(Printf.sprintf "%S") gen_garbage
+
+(* Feed [text] to the streaming reader through a file, collecting the
+   jobs it delivers. *)
+let stream_jobs text =
+  let path = Filename.temp_file "speedscale" ".stream" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc text;
+      close_out oc;
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let jobs = ref [] in
+          ignore
+            (Io.read_stream ic
+               ~start:(fun ~line:_ ~power:_ ~machines:_ -> ())
+               ~arrive:(fun () ~line:_ j -> jobs := j :: !jobs));
+          List.rev !jobs))
+
+(* Every reader of the format refuses bad bytes with a Failure and never
+   with any other exception — Invalid_argument from the model's
+   constructors included. *)
 let prop_io_fuzz_no_crash =
   QCheck.Test.make ~name:"Io.of_string total on garbage" ~count:300
-    QCheck.(string_gen Gen.printable)
-    (fun s ->
-      match Io.of_string s with
+    arb_garbage (fun s ->
+      match Io.of_string s with _ -> true | exception Failure _ -> true)
+
+let prop_stream_fuzz_no_crash =
+  QCheck.Test.make ~name:"Io.read_stream total on garbage" ~count:300
+    arb_garbage (fun s ->
+      match stream_jobs s with _ -> true | exception Failure _ -> true)
+
+let prop_restore_fuzz_no_crash =
+  QCheck.Test.make ~name:"Online.restore total on garbage" ~count:300
+    arb_garbage (fun s ->
+      match Speedscale_engine.Online.restore ("online-snapshot v1\n" ^ s) with
       | _ -> true
-      | exception (Failure _ | Invalid_argument _) -> true)
+      | exception Failure _ -> true)
 
 let prop_io_roundtrip_random =
   QCheck.Test.make ~name:"Io roundtrip on random instances" ~count:100
@@ -398,6 +473,39 @@ let prop_io_roundtrip_random =
              a.release = b.release && a.deadline = b.deadline
              && a.workload = b.workload && a.value = b.value)
            (List.init (Instance.n_jobs inst) Fun.id))
+
+(* The batch and the streaming reader are one grammar: on a rendered
+   instance they deliver bit-identical jobs in the same order. *)
+let prop_stream_agrees_with_of_string =
+  QCheck.Test.make ~name:"read_stream = of_string on rendered instances"
+    ~count:100
+    QCheck.(
+      pair (int_range 1 4)
+        (list_of_size Gen.(1 -- 8)
+           (quad
+              (make Gen.(float_range 0.0 1e6))
+              (make Gen.(float_range 1e-6 4.0))
+              (make Gen.(float_range 1e-6 3.0))
+              (make
+                 Gen.(oneof [ float_range 0.0 20.0; return Float.infinity ])))))
+    (fun (machines, jobs) ->
+      let inst =
+        Instance.make ~power:p3 ~machines
+          (List.mapi
+             (fun i (r, span, w, v) ->
+               Job.make ~id:i ~release:r ~deadline:(r +. span) ~workload:w
+                 ~value:v)
+             jobs)
+      in
+      let text = Io.to_string inst in
+      let same (a : Job.t) (b : Job.t) =
+        a.id = b.id && Float.equal a.release b.release
+        && Float.equal a.deadline b.deadline
+        && Float.equal a.workload b.workload
+        && Float.equal a.value b.value
+      in
+      List.equal same (Array.to_list (Io.of_string text).jobs)
+        (stream_jobs text))
 
 let prop_instance_with_values_preserves_shape =
   QCheck.Test.make ~name:"with_values keeps windows and workloads" ~count:100
@@ -466,6 +574,9 @@ let () =
           q prop_io_fuzz_no_crash;
           q prop_io_roundtrip_random;
           q prop_instance_with_values_preserves_shape;
+          q prop_stream_fuzz_no_crash;
+          q prop_restore_fuzz_no_crash;
+          q prop_stream_agrees_with_of_string;
         ] );
       ( "schedule",
         [
