@@ -994,11 +994,11 @@ let e20 () =
              if not s.accepted then incr rejected;
              if s.probes > !max_probes then max_probes := s.probes;
              if s.breakpoints > !max_bps then max_bps := s.breakpoints));
-      let t0 = Harness.now () in
+      let t0 = Unix.gettimeofday () in
       Array.iter
         (fun j -> ignore (Speedscale_core.Pd.arrive pd j))
         inst.jobs;
-      let dt = Harness.now () -. t0 in
+      let dt = Unix.gettimeofday () -. t0 in
       let cost =
         Cost.total (Schedule.cost inst (Speedscale_core.Pd.schedule pd))
       in
@@ -1054,8 +1054,9 @@ let e20 () =
 
 (* The tree timeline + GC arrival path at sizes the flat timeline could
    not reach (doc/PERF.md).  Verdict inputs are deterministic counters
-   only; the resident_* counters are memory gauges that `psched
-   bench-diff` fails on growth, like a timing regression.  For the two
+   only; the resident_* counters are memory gauges, and the verdict
+   fails if the live-interval gauge at n = 10^5 exceeds twice its value
+   at n = 10^3, so @bench-quick gates residency.  For the two
    smaller rungs the whole stream is replayed through the reference
    bisection solver (same gc state) and decisions must agree: acceptance
    bit for bit, multipliers to solver tolerance. *)
@@ -1087,13 +1088,13 @@ let e24 () =
              if not s.accepted then incr rejected));
       let decisions_rev = ref [] in
       let keep_decisions = n <= 10_000 in
-      let t0 = Harness.now () in
+      let t0 = Unix.gettimeofday () in
       Array.iter
         (fun j ->
           let d = Speedscale_core.Pd.arrive pd j in
           if keep_decisions then decisions_rev := d :: !decisions_rev)
         inst.jobs;
-      let dt = Harness.now () -. t0 in
+      let dt = Unix.gettimeofday () -. t0 in
       let st = Speedscale_core.Pd.stats pd in
       let m = Speedscale_core.Pd.mem pd in
       if m.flushed_intervals = 0 then ok := false;
@@ -1276,13 +1277,13 @@ let e22 () =
 (* Two questions about lib/service.  (1) Throughput: arrivals/sec of
    the full submit → shard → merge loop at >= 10^6 jobs per run, across
    shard counts — the scaling shape depends on the host's core count
-   (this is a Timing record, so bench-diff gates it like any other
-   wall-clock), while the verdict rests only on deterministic
-   invariants: every run processes the whole stream, the merged stream
-   is identical at every worker count, and the one-shard service costs
-   exactly what plain PD costs.  (2) The competitive-ratio price of
-   partitioning (jobs never migrate between shards), measured against
-   the global PD dual bound next to E22's numbers. *)
+   (a Timing record: the wall clock is reported, not gated), while the
+   verdict rests only on deterministic invariants: every run processes
+   the whole stream, the merged stream is identical at every worker
+   count, and the one-shard service costs exactly what plain PD costs.
+   (2) The competitive-ratio price of partitioning (jobs never migrate
+   between shards), measured against the global PD dual bound next to
+   E22's numbers. *)
 let e26 () =
   section "E26"
     "sharded admission service: arrivals/sec vs shards, and the ratio \
@@ -1324,10 +1325,10 @@ let e26 () =
             else incr rejected)
           evs
       in
-      let t0 = Harness.now () in
+      let t0 = Unix.gettimeofday () in
       Array.iter (fun j -> count (Service.submit svc j)) inst.jobs;
       count (Service.drain svc);
-      let dt = Harness.now () -. t0 in
+      let dt = Unix.gettimeofday () -. t0 in
       ignore (Service.finalize svc);
       Service.shutdown svc;
       let n = Array.length inst.jobs in

@@ -22,13 +22,6 @@ type ctx = {
 
 let ctx_key : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-(* Injectable wall clock, mirroring [Driver.evaluate ?clock] and
-   [Pd.create ?clock]: every bench timing reads [now ()], so a test can
-   freeze it (e.g. [clock := fun () -> 0.0]) and get byte-deterministic
-   reports. *)
-let clock : (unit -> float) ref = ref Unix.gettimeofday
-let now () = !clock ()
-
 let out_str s =
   match Domain.DLS.get ctx_key with
   | Some c -> Buffer.add_string c.buf s
@@ -106,13 +99,13 @@ let with_task id (f : unit -> unit) : task_result =
       counters = [] }
   in
   Domain.DLS.set ctx_key (Some c);
-  let t0 = now () in
+  let t0 = Unix.gettimeofday () in
   (match f () with
   | () -> Domain.DLS.set ctx_key saved
   | exception e ->
     Domain.DLS.set ctx_key saved;
     raise e);
-  let wall_s = now () -. t0 in
+  let wall_s = Unix.gettimeofday () -. t0 in
   let records = List.rev_map (Obs.Record.with_wall ~wall_s) c.recs in
   { task_id = id; output = Buffer.contents c.buf; records; wall_s }
 

@@ -51,9 +51,8 @@ let algorithm_conv =
 (* ------------------------------------------------------------------ *)
 
 (* Every user-facing failure goes through here: a one-line diagnostic on
-   stderr (with the input line number whenever one is known) and exit 2
-   — the same discipline as bench-diff, never an uncaught exception with
-   a backtrace. *)
+   stderr (with the input line number whenever one is known) and exit 2,
+   never an uncaught exception with a backtrace. *)
 let die cmd fmt =
   Fmt.kstr
     (fun msg ->
@@ -794,52 +793,6 @@ let replay_cmd =
   Cmd.v info Term.(const run $ instance_arg $ csv)
 
 (* ------------------------------------------------------------------ *)
-(* bench-diff                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let bench_diff_cmd =
-  let old_arg =
-    let doc = "Baseline BENCH_*.json (produced by `bench/main.exe --json`)." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD" ~doc)
-  in
-  let new_arg =
-    let doc = "Candidate BENCH_*.json to gate against the baseline." in
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW" ~doc)
-  in
-  let threshold =
-    let doc =
-      "Relative slowdown that counts as a regression (0.1 = fail when a \
-       kernel is more than 10% slower)."
-    in
-    Arg.(
-      value
-      & opt float Speedscale_obs.Diff.default_threshold
-      & info [ "threshold" ] ~docv:"FRACTION" ~doc)
-  in
-  let run old_path new_path threshold =
-    let load path =
-      match Speedscale_obs.Record.read_file ~path with
-      | Ok f -> f
-      | Error e ->
-        Printf.eprintf "psched bench-diff: %s: %s\n" path e;
-        exit 2
-    in
-    let old_file = load old_path and new_file = load new_path in
-    let report =
-      Speedscale_obs.Diff.compare_files ~threshold old_file new_file
-    in
-    print_string (Speedscale_obs.Diff.to_string report);
-    if not (Speedscale_obs.Diff.ok report) then exit 1
-  in
-  let info =
-    Cmd.info "bench-diff"
-      ~doc:
-        "Compare two structured benchmark files; exit non-zero on a perf or \
-         verdict regression."
-  in
-  Cmd.v info Term.(const run $ old_arg $ new_arg $ threshold)
-
-(* ------------------------------------------------------------------ *)
 (* gantt                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -878,5 +831,5 @@ let () =
           [
             generate_cmd; run_cmd; stream_cmd; serve_cmd; compare_cmd;
             engines_cmd; certify_cmd; analyze_cmd; provision_cmd; replay_cmd;
-            gantt_cmd; bench_diff_cmd;
+            gantt_cmd;
           ]))

@@ -182,7 +182,7 @@ let () =
             ("findings_fresh", List.length fresh);
           ]
         ~verdict:(not failing)
-        ~timing:{ Record.no_timing with wall_s = Some scan_wall }
+        ~timing:{ Record.wall_s = scan_wall }
         Record.Experiment
     in
     Record.write_file ~path

@@ -119,8 +119,8 @@ type mem_stats = {
 val mem : t -> mem_stats
 (** Residency gauges.  With [~gc:false] the flushed/evicted counters stay
     [0] and the live counts grow with the instance; with [~gc:true] the
-    live counts are proportional to the live window — the property the
-    @bench-gate memory check gates on (doc/BENCHMARKING.md). *)
+    live counts are proportional to the live window — the property E24's
+    verdict checks in @bench-quick (doc/BENCHMARKING.md). *)
 
 type decision = {
   job : Job.t;

@@ -9,9 +9,9 @@
    function a small value-taint walk tracks let bindings and the parameters
    of closures applied alongside tainted arguments.  Sinks are the record
    payload constructors ([Record.make] and the harness [metric] / [counter]
-   / [verdict] helpers): a sink whose argument is tainted means a
-   BENCH_*.json payload that cannot reproduce byte-identically, which is
-   exactly what the bench-diff gate assumes it can diff. *)
+   / [verdict] helpers): a sink whose argument is tainted means a bench
+   record payload that cannot reproduce byte-identically, which breaks
+   the determinism the verdict gate and its tests rely on. *)
 
 open Parsetree
 module S = Set.Make (String)

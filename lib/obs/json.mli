@@ -3,8 +3,9 @@
     The encoder is {e canonical}: a given value always renders to the same
     bytes (object fields keep their insertion order, floats print in the
     shortest form that round-trips exactly, indentation is fixed at two
-    spaces).  This is what lets a checked-in [BENCH_*.json] act as a golden
-    fixture — any schema or formatting drift shows up as a byte diff.
+    spaces).  This is what lets a checked-in record file
+    (test/bench_golden.json) act as a golden fixture — any schema or
+    formatting drift shows up as a byte diff.
 
     Deviations from strict JSON, both directions: the bare tokens
     [Infinity], [-Infinity] and [NaN] encode the non-finite floats (the

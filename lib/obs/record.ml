@@ -2,11 +2,7 @@ type kind = Experiment | Timing
 
 type param = P_int of int | P_float of float | P_str of string | P_bool of bool
 
-type timing = {
-  wall_s : float option;
-  ns_per_run : float option;
-  runs : int option;
-}
+type timing = { wall_s : float }
 
 type t = {
   id : string;
@@ -33,31 +29,10 @@ let make ~id ?(params = []) ?(metrics = []) ?(counters = []) ?verdict ?timing
     kind =
   { id; kind; params; metrics; counters; verdict; timing }
 
-let no_timing = { wall_s = None; ns_per_run = None; runs = None }
-
 let with_wall ~wall_s r =
-  match r.timing with
-  | None -> { r with timing = Some { no_timing with wall_s = Some wall_s } }
-  | Some ({ wall_s = None; _ } as t) ->
-    { r with timing = Some { t with wall_s = Some wall_s } }
-  | Some _ -> r
+  match r.timing with None -> { r with timing = Some { wall_s } } | Some _ -> r
 
 let strip_timing r = { r with timing = None }
-
-(* ------------------------------------------------------------------ *)
-(* Resident-memory gauges                                              *)
-(* ------------------------------------------------------------------ *)
-
-let resident_gauge_prefix = "resident_"
-
-let is_resident_gauge name =
-  String.length name > String.length resident_gauge_prefix
-  && String.equal
-       (String.sub name 0 (String.length resident_gauge_prefix))
-       resident_gauge_prefix
-
-let resident_gauges r =
-  List.filter (fun (name, _) -> is_resident_gauge name) r.counters
 
 (* ------------------------------------------------------------------ *)
 (* Equality                                                            *)
@@ -82,10 +57,7 @@ let equal_kind a b =
   | Experiment, Experiment | Timing, Timing -> true
   | (Experiment | Timing), _ -> false
 
-let equal_timing a b =
-  Option.equal Float.equal a.wall_s b.wall_s
-  && Option.equal Float.equal a.ns_per_run b.ns_per_run
-  && Option.equal Int.equal a.runs b.runs
+let equal_timing a b = Float.equal a.wall_s b.wall_s
 
 let equal_modulo_timing a b =
   String.equal a.id b.id && equal_kind a.kind b.kind
@@ -141,16 +113,7 @@ let param_of_json = function
   | Json.Null | Json.List _ | Json.Obj _ ->
     Error "parameters must be scalars"
 
-let timing_to_json t =
-  let field name v to_j acc =
-    match v with None -> acc | Some x -> (name, to_j x) :: acc
-  in
-  Json.Obj
-    (field "wall_s" t.wall_s
-       (fun f -> Json.Float f)
-       (field "ns_per_run" t.ns_per_run
-          (fun f -> Json.Float f)
-          (field "runs" t.runs (fun i -> Json.Int i) [])))
+let timing_to_json t = Json.Obj [ ("wall_s", Json.Float t.wall_s) ]
 
 let to_json r =
   let base =
@@ -213,10 +176,8 @@ let assoc_field name conv json =
              (Json.to_string v))
 
 let timing_of_json json =
-  let* wall_s = optional_field "wall_s" Json.to_float json in
-  let* ns_per_run = optional_field "ns_per_run" Json.to_float json in
-  let* runs = optional_field "runs" Json.to_int json in
-  Ok { wall_s; ns_per_run; runs }
+  let* wall_s = field "wall_s" Json.to_float json in
+  Ok { wall_s }
 
 let of_json json =
   let* id = field "id" Json.to_str json in

@@ -1,16 +1,16 @@
-(** The structured benchmark-result model behind [BENCH_*.json].
+(** The structured benchmark-result model behind [bench/main.exe --json].
 
-    One {!t} is one benchmark observation: an experiment verdict or a
-    bechamel micro-timing.  The deterministic payload (id, params, metrics,
-    counters, verdict) is kept strictly apart from the {!timing} statistics
-    so that two runs of the same experiment set can be compared for {e
-    result} equality regardless of how fast the machine was — that is what
-    the parallel-runner determinism property and [psched bench-diff] both
-    rely on. *)
+    One {!t} is one benchmark observation: an experiment verdict or one
+    timed run inside an experiment.  The deterministic payload (id,
+    params, metrics, counters, verdict) is kept strictly apart from the
+    {!timing} slot so that two runs of the same experiment set can be
+    compared for {e result} equality regardless of how fast the machine
+    was — that is what the parallel-runner determinism property relies
+    on, and the verdict is what [bench/main.exe] gates on. *)
 
 type kind =
   | Experiment  (** a table/figure experiment with a CONFIRMED verdict *)
-  | Timing  (** a bechamel micro-timing of one kernel *)
+  | Timing  (** one timed run (a rung of a scaling ladder, ...) *)
 
 type param =
   | P_int of int
@@ -18,14 +18,10 @@ type param =
   | P_str of string
   | P_bool of bool
 
-type timing = {
-  wall_s : float option;  (** wall-clock of the whole task, seconds *)
-  ns_per_run : float option;  (** bechamel OLS estimate, ns per run *)
-  runs : int option;  (** repetitions behind the estimate *)
-}
+type timing = { wall_s : float  (** wall-clock of the run, seconds *) }
 
 type t = {
-  id : string;  (** "E2", "E12/yds-n30", ... — the diff join key *)
+  id : string;  (** "E2", "E24/ladder-n1000", ... *)
   kind : kind;
   params : (string * param) list;  (** instance sizes, seeds, alpha, ... *)
   metrics : (string * float) list;  (** deterministic measured numbers *)
@@ -57,28 +53,11 @@ val make :
   kind ->
   t
 
-val no_timing : timing
-(** All-[None] timing, for [with_wall] to fill in. *)
-
 val with_wall : wall_s:float -> t -> t
-(** Fill the wall-clock field if the record does not already carry one. *)
+(** Attach a wall clock if the record does not already carry one. *)
 
 val strip_timing : t -> t
 (** Drop the machine-dependent part; what determinism tests compare. *)
-
-val resident_gauge_prefix : string
-(** ["resident_"].  A counter whose name carries this prefix is a {e
-    resident-memory gauge}: a deterministic high-water count of live
-    state (live intervals, table entries, ...) rather than of work done.
-    [psched bench-diff] gates gauges like timings — a gauge that grows
-    past the threshold between baseline and candidate fails the diff
-    (space regressions are as real as time regressions; see {!Diff}). *)
-
-val is_resident_gauge : string -> bool
-(** Whether a counter name carries {!resident_gauge_prefix}. *)
-
-val resident_gauges : t -> (string * int) list
-(** The record's resident-memory gauge counters, in record order. *)
 
 val equal : t -> t -> bool
 (** Full structural equality (floats via [Float.equal]). *)

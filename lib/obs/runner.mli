@@ -10,11 +10,11 @@
     - {e no shared state}: each task must derive its randomness from its
       own fixed seed ([Speedscale_util.Rand.make]); the runner adds none.
       Tasks that honor this produce byte-identical output at any [jobs]
-      (the determinism property pinned in [test_diff.ml]).
+      (the determinism property pinned in [test_bench.ml]).
 
     Caveat: wall-clock {e timings} measured inside concurrently running
-    tasks are noisier than sequential ones — bechamel micro-timings should
-    stay on a quiet machine or a sequential run (see doc/BENCHMARKING.md). *)
+    tasks are noisier than sequential ones; measure speed with perfbench
+    (see doc/BENCHMARKING.md). *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count], clamped to [1..8]. *)

@@ -83,12 +83,23 @@ let load ~manifest =
           | Some n -> n
           | None -> fail "line %d: bad %s %S" lineno what v
         in
+        let once what r v =
+          if Option.is_some !r then
+            fail "line %d: duplicate '%s' line" lineno what;
+          r := Some v
+        in
         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-        | [ "engine"; v ] -> engine := Some v
-        | [ "shard-fn"; v ] -> shard_fn := Some v
-        | [ "shards"; v ] -> shards := Some (int_field "shards" v)
-        | [ "seq"; v ] -> seq := Some (int_field "seq" v)
+        | [ "engine"; v ] -> once "engine" engine v
+        | [ "shard-fn"; v ] -> once "shard-fn" shard_fn v
+        | [ "shards"; v ] -> once "shards" shards (int_field "shards" v)
+        | [ "seq"; v ] ->
+          let n = int_field "seq" v in
+          if n < 0 then fail "line %d: seq must be >= 0, got %d" lineno n;
+          once "seq" seq n
         | [ "shard"; i; file; digest ] ->
+          (* a bare name inside the checkpoint directory, never a path *)
+          if String.contains file '/' || file = "." || file = ".." then
+            fail "line %d: shard file %S is not a plain file name" lineno file;
           entries_rev := (int_field "shard index" i, file, digest)
             :: !entries_rev
         | _ -> fail "line %d: unrecognized %S" lineno line)

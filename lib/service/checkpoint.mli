@@ -40,4 +40,6 @@ val load : manifest:string -> t * string array
 (** Read a manifest (by path) and its shard snapshot texts, verifying
     every recorded MD5.  Raises [Failure] with a descriptive message on
     a missing file, a digest mismatch, or a malformed manifest
-    (including [shards < 1]). *)
+    (including [shards < 1], [seq < 0], a repeated header line, and a
+    shard file that is not a plain name inside the manifest's
+    directory). *)

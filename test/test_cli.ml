@@ -377,8 +377,9 @@ let test_stream_k1_snapshot_dir_restores () =
 
 (* Crafted restore inputs must end in a one-line exit-2 diagnostic, not
    an uncaught-exception backtrace: a digest-valid snapshot holding a
-   job the model refuses, a manifest declaring zero shards, and a valid
-   checkpoint restored with --workers 0. *)
+   job the model refuses, a manifest declaring zero shards, a valid
+   checkpoint restored with --workers 0, and a manifest naming a shard
+   file outside its directory. *)
 let test_restore_crafted_inputs () =
   with_tmp_dir (fun dir ->
       let stream = Filename.concat dir "in.txt" in
@@ -409,7 +410,20 @@ let test_restore_crafted_inputs () =
       manifest ~shards:1 header;
       check_one_line_exit_2 "--workers 0"
         [ "serve"; stream; "--restore"; dir; "--workers"; "0" ]
-        [ "--workers must be >= 1" ])
+        [ "--workers must be >= 1" ];
+      (* a shard file outside the checkpoint directory, digest intact *)
+      let ck = Filename.concat dir "ck" in
+      Sys.mkdir ck 0o755;
+      write_file (Filename.concat dir "outside.snap") header;
+      write_file
+        (Filename.concat ck "manifest")
+        (Printf.sprintf
+           "service-manifest v1\nengine pd\nshard-fn id-mix-v1\nshards 1\n\
+            seq 0\nshard 0 ../outside.snap %s\n"
+           (Digest.to_hex (Digest.string header)));
+      check_one_line_exit_2 "shard file outside the directory"
+        [ "serve"; stream; "--restore"; ck ]
+        [ "not a plain file name" ])
 
 (* ---------------- slint ---------------- *)
 

@@ -446,6 +446,159 @@ let prop_restore_fuzz_no_crash =
       | _ -> true
       | exception Failure _ -> true)
 
+(* Checkpoint manifests.  A fixture directory holds three shard files of
+   a checkpoint cut at seq 7, plus a file in a subdirectory and one in
+   the parent directory, each with a known digest.  Every generated
+   manifest has exactly one fault; a path-like shard name points at a
+   real file with the right digest, so only the name check can refuse
+   it. *)
+module Checkpoint = Speedscale_service.Checkpoint
+
+let ckpt_fixture =
+  lazy
+    (let root = Filename.temp_file "speedscale" ".ckpt" in
+     Sys.remove root;
+     let dir = Filename.concat root "ck" in
+     let sub = Filename.concat dir "sub" in
+     List.iter (fun d -> Sys.mkdir d 0o755) [ root; dir; sub ];
+     let write path text =
+       let oc = open_out_bin path in
+       output_string oc text;
+       close_out oc
+     in
+     for i = 0 to 2 do
+       write
+         (Filename.concat dir (Printf.sprintf "ckpt-7-shard-%d.snap" i))
+         (Printf.sprintf "snapshot %d\n" i)
+     done;
+     write (Filename.concat sub "x.snap") "snapshot 0\n";
+     write (Filename.concat root "outside.snap") "snapshot 0\n";
+     at_exit (fun () ->
+         ignore (Sys.command ("rm -rf " ^ Filename.quote root)));
+     dir)
+
+let gen_manifest =
+  let open QCheck.Gen in
+  let digest i =
+    Digest.to_hex (Digest.string (Printf.sprintf "snapshot %d\n" i))
+  in
+  let shard_line ?index ?file ?digest_of i =
+    Printf.sprintf "shard %s %s %s"
+      (Option.value index ~default:(string_of_int i))
+      (Option.value file ~default:(Printf.sprintf "ckpt-7-shard-%d.snap" i))
+      (digest (Option.value digest_of ~default:i))
+  in
+  let bad_int =
+    oneofl [ "x"; "1.5"; "nan"; "1e3"; "99999999999999999999"; "--1" ]
+  in
+  let header k =
+    [ "engine pd"; "shard-fn id-mix-v1"; Printf.sprintf "shards %d" k;
+      "seq 7" ]
+  in
+  (* the header and shard lines of a k-shard manifest with one fault *)
+  let faulty k =
+    let shards = List.init k (fun i -> shard_line i) in
+    let set key v =
+      List.map
+        (fun l ->
+          match String.split_on_char ' ' l with
+          | [ key'; _ ] when key' = key -> key ^ " " ^ v
+          | _ -> l)
+        (header k)
+      @ shards
+    in
+    let replace_shard i line =
+      header k @ List.mapi (fun j l -> if j = i then line else l) shards
+    in
+    let pick = int_bound (k - 1) in
+    oneof
+      [
+        map (set "shards") (oneof [ bad_int; oneofl [ "0"; "-1" ] ]);
+        map (set "seq") (oneof [ bad_int; oneofl [ "-1"; "-7" ] ]);
+        map2
+          (fun i index -> replace_shard i (shard_line ~index i))
+          pick
+          (oneof [ bad_int; oneofl [ "-1"; "3" ] ]);
+        (* a missing or a duplicated shard line *)
+        map (fun i -> header k @ List.filteri (fun j _ -> j <> i) shards) pick;
+        map (fun i -> header k @ shards @ [ shard_line i ]) pick;
+        (* a repeated or a missing header line *)
+        map (fun h -> header k @ [ h ] @ shards) (oneofl (header k));
+        map (fun h -> List.filter (( <> ) h) (header k) @ shards)
+          (oneofl (header k));
+        (* a shard file that is not a plain name in the directory *)
+        map
+          (fun file -> replace_shard 0 (shard_line ~file 0))
+          (oneofl
+             [ "../outside.snap"; "sub/x.snap"; "./ckpt-7-shard-0.snap"; ".";
+               ".." ]);
+        map (fun i -> replace_shard i (shard_line ~digest_of:(i + 1) i)) pick;
+      ]
+  in
+  oneof
+    [
+      map
+        (fun lines -> String.concat "\n" ("service-manifest v1" :: lines))
+        (int_range 1 3 >>= faulty);
+      (* the garbage words never include "shards", so a correct first
+         line alone cannot make it load *)
+      map (fun g -> "service-manifest v1\n" ^ g) gen_garbage;
+      gen_garbage;
+    ]
+
+let prop_checkpoint_fuzz_no_crash =
+  QCheck.Test.make ~name:"Checkpoint.load total on garbage" ~count:300
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_manifest)
+    (fun text ->
+      let dir = Lazy.force ckpt_fixture in
+      let manifest = Filename.concat dir Checkpoint.manifest_name in
+      let oc = open_out_bin manifest in
+      output_string oc text;
+      close_out oc;
+      match Checkpoint.load ~manifest with
+      | _ -> QCheck.Test.fail_report "loaded a manifest with a fault"
+      | exception Failure m ->
+        String.length m > 17 && String.sub m 0 17 = "Checkpoint.load: ")
+
+(* The faults the fuzz found in Checkpoint.load, each pinned with its
+   diagnostic: all three loaded without complaint before. *)
+let test_checkpoint_found_faults () =
+  let dir = Lazy.force ckpt_fixture in
+  let manifest = Filename.concat dir Checkpoint.manifest_name in
+  let shard0 file =
+    Printf.sprintf "shard 0 %s %s" file
+      (Digest.to_hex (Digest.string "snapshot 0\n"))
+  in
+  List.iter
+    (fun (name, lines, marker) ->
+      let oc = open_out_bin manifest in
+      output_string oc
+        (String.concat "\n"
+           ("service-manifest v1" :: "engine pd" :: "shard-fn id-mix-v1"
+          :: "shards 1" :: lines));
+      close_out oc;
+      match Checkpoint.load ~manifest with
+      | _ -> Alcotest.failf "%s: loaded" name
+      | exception Failure m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S mentions %S" name m marker)
+          true
+          (let n = String.length m and k = String.length marker in
+           let rec go i =
+             i + k <= n && (String.sub m i k = marker || go (i + 1))
+           in
+           go 0))
+    [
+      ("negative seq", [ "seq -7"; shard0 "ckpt-7-shard-0.snap" ],
+       "seq must be >= 0");
+      ("repeated header", [ "seq 7"; "seq 8"; shard0 "ckpt-7-shard-0.snap" ],
+       "duplicate 'seq' line");
+      ("file in the parent directory", [ "seq 7"; shard0 "../outside.snap" ],
+       "not a plain file name");
+      ("file in a subdirectory", [ "seq 7"; shard0 "sub/x.snap" ],
+       "not a plain file name");
+    ]
+
 let prop_io_roundtrip_random =
   QCheck.Test.make ~name:"Io roundtrip on random instances" ~count:100
     QCheck.(
@@ -577,6 +730,9 @@ let () =
           q prop_stream_fuzz_no_crash;
           q prop_restore_fuzz_no_crash;
           q prop_stream_agrees_with_of_string;
+          q prop_checkpoint_fuzz_no_crash;
+          Alcotest.test_case "Checkpoint.load found faults" `Quick
+            test_checkpoint_found_faults;
         ] );
       ( "schedule",
         [
