@@ -93,6 +93,18 @@ let with_input cmd input f =
    streaming an instance reproduces the batch decisions byte for byte. *)
 let opt_float = function None -> Json.Null | Some f -> Json.Float f
 
+(* Every JSON record goes to stdout through this one reused buffer: encode,
+   newline, write, flush — one flush per record, as [print_endline] did,
+   so a reader of the pipe sees each decision as soon as it is made. *)
+let out_buf = Buffer.create 1024
+
+let print_json v =
+  Buffer.clear out_buf;
+  Json.to_buffer out_buf v;
+  Buffer.add_char out_buf '\n';
+  Buffer.output_buffer stdout out_buf;
+  flush stdout
+
 let decision_record ~seq ~plan_before (d : Online.decision)
     (plan : Schedule.t) =
   let n_slices = List.length plan.slices in
@@ -123,9 +135,7 @@ let fold_arrive f j =
   let d = Online.arrive f.engine j in
   if f.records then begin
     let plan = Online.current_plan f.engine in
-    print_endline
-      (Json.to_string
-         (decision_record ~seq:f.seq ~plan_before:f.plan_before d plan));
+    print_json (decision_record ~seq:f.seq ~plan_before:f.plan_before d plan);
     f.plan_before <- List.length plan.Schedule.slices
   end;
   f.seq <- f.seq + 1;
@@ -133,19 +143,18 @@ let fold_arrive f j =
 
 let fold_summary f =
   let plan = Online.finalize f.engine in
-  print_endline
-    (Json.to_string
-       (Json.Obj
-          [
-            ("summary", Json.Str (Online.name (Online.engine_of f.engine)));
-            ("jobs", Json.Int f.seq);
-            ("accepted", Json.Int f.accepted);
-            ("rejected", Json.Int (f.seq - f.accepted));
-            ("plan_slices", Json.Int (List.length plan.slices));
-            ( "energy",
-              Json.Float
-                (Schedule.energy (Online.params_of f.engine).power plan) );
-          ]))
+  print_json
+    (Json.Obj
+       [
+         ("summary", Json.Str (Online.name (Online.engine_of f.engine)));
+         ("jobs", Json.Int f.seq);
+         ("accepted", Json.Int f.accepted);
+         ("rejected", Json.Int (f.seq - f.accepted));
+         ("plan_slices", Json.Int (List.length plan.slices));
+         ( "energy",
+           Json.Float (Schedule.energy (Online.params_of f.engine).power plan)
+         );
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                             *)
@@ -377,9 +386,7 @@ let run_sharded ~engine ~delta ~shards:k ~workers ~snapshot_dir
   in
   let emit evs =
     if not summary_only then
-      List.iter
-        (fun ev -> print_endline (Json.to_string (sharded_record ev)))
-        evs
+      List.iter (fun ev -> print_json (sharded_record ev)) evs
   in
   let start ~line ~power ~machines:m =
     match restored with
@@ -428,8 +435,7 @@ let run_sharded ~engine ~delta ~shards:k ~workers ~snapshot_dir
   let s = Io.read_stream ic ~start ~arrive in
   emit (Service.drain s);
   let plans = Service.finalize s in
-  List.iter
-    (fun row -> print_endline (Json.to_string row))
+  List.iter print_json
     (sharded_summaries ~engine:(Service.engine s) ~total_seq:(Service.seq s)
        s plans);
   (match snapshot_dir with

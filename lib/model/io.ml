@@ -39,14 +39,14 @@ let job ~line ~id r d w v =
 
 (* %.17g round-trips every finite float and prints infinity as "inf",
    which [number] reads back. *)
+let g17 x = Speedscale_util.Cfmt.float "%.17g" x
+
 let job_line ?id (j : Job.t) =
-  match id with
-  | None ->
-    Fmt.str "job %.17g %.17g %.17g %.17g\n" j.release j.deadline j.workload
-      j.value
-  | Some id ->
-    Fmt.str "job %d %.17g %.17g %.17g %.17g\n" id j.release j.deadline
-      j.workload j.value
+  let fields = [ g17 j.release; g17 j.deadline; g17 j.workload; g17 j.value ] in
+  let fields =
+    match id with None -> fields | Some id -> string_of_int id :: fields
+  in
+  String.concat " " ("job" :: fields) ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Instance files                                                       *)

@@ -27,53 +27,170 @@ let rec equal a b =
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let float_to_string x =
-  if Float.is_nan x then "NaN"
-  else if Float.equal x Float.infinity then "Infinity"
-  else if Float.equal x Float.neg_infinity then "-Infinity"
-  else if Float.is_integer x && Float.abs x < 1e16 then Fmt.str "%.1f" x
+module Cfmt = Speedscale_util.Cfmt
+
+(* The decimal digits of [n >= 0], most significant first.  Cheaper than
+   [string_of_int], which goes through the C [printf]. *)
+let digits_of n =
+  let len = ref 1 and m = ref n in
+  while !m >= 10 do
+    incr len;
+    m := !m / 10
+  done;
+  let b = Bytes.create !len and m = ref n in
+  for i = !len - 1 downto 0 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!m mod 10)));
+    m := !m / 10
+  done;
+  b
+
+let add_int buf i =
+  if i >= 0 then Buffer.add_bytes buf (digits_of i)
+  else if i = Int.min_int then Buffer.add_string buf (string_of_int i)
+  else begin
+    Buffer.add_char buf '-';
+    Buffer.add_bytes buf (digits_of (-i))
+  end
+
+(* The float rule is [%g] at the smallest precision P in 15, 16, 17 whose
+   text parses back to [x]: with Ryū's shortest digits (n of them) that is
+   P = max 15 n, except for the two classes [add_float] hands to
+   [add_float_fallback].  [%g] uses the exponent form when the decimal
+   exponent X of the first digit is below -4 or at least P, strips trailing
+   zeros, and prints at least two exponent digits. *)
+let add_g buf s exp =
+  let n = Bytes.length s in
+  let x = exp + n - 1 in
+  if x < -4 || x >= Int.max 15 n then begin
+    Buffer.add_char buf (Bytes.get s 0);
+    if n > 1 then begin
+      Buffer.add_char buf '.';
+      Buffer.add_subbytes buf s 1 (n - 1)
+    end;
+    Buffer.add_string buf (if x < 0 then "e-" else "e+");
+    if abs x < 10 then Buffer.add_char buf '0';
+    add_int buf (abs x)
+  end
+  else if x < 0 then begin
+    Buffer.add_string buf "0.";
+    for _ = 2 to -x do
+      Buffer.add_char buf '0'
+    done;
+    Buffer.add_bytes buf s
+  end
+  else if n <= x + 1 then begin
+    Buffer.add_bytes buf s;
+    for _ = n to x do
+      Buffer.add_char buf '0'
+    done;
+    (* bare digits would decode as Int: keep it a float on the wire *)
+    Buffer.add_string buf ".0"
+  end
+  else begin
+    Buffer.add_subbytes buf s 0 (x + 1);
+    Buffer.add_char buf '.';
+    Buffer.add_subbytes buf s (x + 1) (n - x - 1)
+  end
+
+(* The rule itself, one [printf] per precision plus a parse to check it. *)
+let add_float_fallback buf x =
+  let exact s = Float.equal (float_of_string s) x in
+  let s = Cfmt.float "%.15g" x in
+  let s =
+    if exact s then s
+    else
+      let s = Cfmt.float "%.16g" x in
+      if exact s then s else Cfmt.float "%.17g" x
+  in
+  Buffer.add_string buf s;
+  if not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s) then
+    Buffer.add_string buf ".0"
+
+let add_float buf x =
+  if Float.is_nan x then Buffer.add_string buf "NaN"
+  else if Float.equal x Float.infinity then Buffer.add_string buf "Infinity"
+  else if Float.equal x Float.neg_infinity then
+    Buffer.add_string buf "-Infinity"
+  else if Float.is_integer x && Float.abs x < 1e16 then begin
+    (* the [%.1f] of an integral float below 1e16 *)
+    if Float.sign_bit x then Buffer.add_char buf '-';
+    add_int buf (abs (Float.to_int x));
+    Buffer.add_string buf ".0"
+  end
   else
-    let exact s = Float.equal (float_of_string s) x in
-    let s = Fmt.str "%.15g" x in
-    let s =
-      if exact s then s
-      else
-        let s = Fmt.str "%.16g" x in
-        if exact s then s else Fmt.str "%.17g" x
+    let digits, exp = Ryu.shortest x in
+    let rec strip d e =
+      if d mod 10 = 0 then strip (d / 10) (e + 1) else (d, e)
     in
-    (* %g drops the exponent when it fits the precision, so a large
-       integral float (e.g. 2^54-ish) can render as bare digits — which
-       would decode as Int.  Keep it a float on the wire. *)
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
-    else s ^ ".0"
+    let digits, exp = strip digits exp in
+    let s = digits_of digits in
+    let n = Bytes.length s in
+    (* Two classes where the nearest P-digit decimal and the shortest one
+       differ.  A subnormal's rounding interval is wide enough to hold
+       several 15-digit decimals, and [%.15g] picks the nearest, not the
+       shortest.  A power of two has a lower half-interval half as wide as
+       the upper, so the nearest 16-digit decimal can fall outside it, and
+       the rule goes on to 17 digits where Ryū stops at 16. *)
+    let subnormal = Float.abs x < Float.min_float in
+    let power_of_two =
+      (not subnormal)
+      && Int64.equal
+           (Int64.logand (Int64.bits_of_float x) 0xF_FFFF_FFFF_FFFFL)
+           0L
+    in
+    if (subnormal && n <= 15) || (power_of_two && n = 16) then
+      add_float_fallback buf x
+    else begin
+      if Float.sign_bit x then Buffer.add_char buf '-';
+      add_g buf s exp
+    end
+
+let float_to_string x =
+  let buf = Buffer.create 24 in
+  add_float buf x;
+  Buffer.contents buf
+
+let hex_digit = "0123456789abcdef"
+
+let needs_escape s =
+  String.exists (fun c -> c = '"' || c = '\\' || Char.code c < 0x20) s
 
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if not (needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex_digit.[Char.code c lsr 4];
+          Buffer.add_char buf hex_digit.[Char.code c land 15]
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
 
-let to_string v =
-  let buf = Buffer.create 1024 in
-  let pad n = Buffer.add_string buf (String.make n ' ') in
-  let rec go indent v =
+(* Indentation for the first nesting levels, built once. *)
+let indents = Array.init 16 (fun depth -> String.make (2 * depth) ' ')
+
+let pad buf depth =
+  if depth < Array.length indents then Buffer.add_string buf indents.(depth)
+  else Buffer.add_string buf (String.make (2 * depth) ' ')
+
+let to_buffer buf v =
+  let rec go depth v =
     match v with
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f -> Buffer.add_string buf (float_to_string f)
+    | Int i -> add_int buf i
+    | Float f -> add_float buf f
     | Str s -> escape_string buf s
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
@@ -81,11 +198,11 @@ let to_string v =
       List.iteri
         (fun i item ->
           if i > 0 then Buffer.add_string buf ",\n";
-          pad (indent + 2);
-          go (indent + 2) item)
+          pad buf (depth + 1);
+          go (depth + 1) item)
         items;
       Buffer.add_char buf '\n';
-      pad indent;
+      pad buf depth;
       Buffer.add_char buf ']'
     | Obj [] -> Buffer.add_string buf "{}"
     | Obj fields ->
@@ -93,16 +210,20 @@ let to_string v =
       List.iteri
         (fun i (k, item) ->
           if i > 0 then Buffer.add_string buf ",\n";
-          pad (indent + 2);
+          pad buf (depth + 1);
           escape_string buf k;
           Buffer.add_string buf ": ";
-          go (indent + 2) item)
+          go (depth + 1) item)
         fields;
       Buffer.add_char buf '\n';
-      pad indent;
+      pad buf depth;
       Buffer.add_char buf '}'
   in
-  go 0 v;
+  go 0 v
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  to_buffer buf v;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -102,14 +102,70 @@ let gen_name =
       (list_size (1 -- 10)
          (oneofl [ "a"; "B"; "0"; "/"; "_"; "-"; "\xc3\xa9"; "\""; "\\"; "\n" ])))
 
+(* The wire rule as it was first written, through [Fmt]: [%g] at the
+   smallest precision in 15, 16, 17 that parses back.  [Json.float_to_string]
+   must reproduce it byte for byte. *)
+let float_rule_oracle x =
+  if Float.is_nan x then "NaN"
+  else if Float.equal x Float.infinity then "Infinity"
+  else if Float.equal x Float.neg_infinity then "-Infinity"
+  else if Float.is_integer x && Float.abs x < 1e16 then Fmt.str "%.1f" x
+  else
+    let exact s = Float.equal (float_of_string s) x in
+    let s = Fmt.str "%.15g" x in
+    let s =
+      if exact s then s
+      else
+        let s = Fmt.str "%.16g" x in
+        if exact s then s else Fmt.str "%.17g" x
+    in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+    else s ^ ".0"
+
+let describe_float x = Printf.sprintf "%h (bits %Lx)" x (Int64.bits_of_float x)
+
+let check_float_rule x =
+  Alcotest.(check string)
+    (describe_float x) (float_rule_oracle x) (Json.float_to_string x)
+
+let gen_bit_pattern st = Int64.float_of_bits (Random.State.bits64 st)
+
 let prop_json_float_roundtrip =
   QCheck.Test.make ~name:"float_to_string round-trips every bit pattern"
-    ~count:500
-    (QCheck.make gen_scalar_float ~print:Json.float_to_string)
+    ~count:100_000
+    (QCheck.make gen_bit_pattern ~print:describe_float)
     (fun x ->
-      let y = float_of_string (Json.float_to_string x) in
-      (Float.is_nan x && Float.is_nan y)
-      || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+      let s = Json.float_to_string x in
+      let y = float_of_string s in
+      String.equal s (float_rule_oracle x)
+      && ((Float.is_nan x && Float.is_nan y)
+         || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)))
+
+let test_json_float_edges () =
+  let pow2 e = Float.ldexp 1.0 e in
+  let around x = [ Float.pred x; x; Float.succ x ] in
+  let largest_subnormal = Float.pred Float.min_float in
+  let cases =
+    [ 0.0; Float.nan; Float.infinity; Float.neg_infinity; 4.9e-324;
+      Float.succ 4.9e-324; 1e-320; 2.5e-310; largest_subnormal;
+      Float.min_float; Float.max_float; pow2 53 -. 1.0; pow2 53;
+      pow2 53 +. 2.0 ]
+    (* the %g layout switches: X = -5 / -4, and X = 14 / 15 / 16 / 17 *)
+    @ List.concat_map around
+        [ 1e-5; 1e-4; 9.99999999999999e-5; 1e15; 1e16; 1e17;
+          999999999999999.9; 9999999999999998.0; 99999999999999999.0 ]
+    (* every power of two, the class the Ryū digits alone get wrong *)
+    @ List.init (1023 + 1074 + 1) (fun i -> pow2 (i - 1074))
+  in
+  List.iter (fun x -> check_float_rule x; check_float_rule (-.x)) cases;
+  (* Dyadic values i * 2^-p have exact decimal expansions, so they hit the
+     exact-tie rounding cases that random bit patterns almost never do. *)
+  let st = Random.State.make [| 17 |] in
+  for _ = 1 to 20_000 do
+    let i = Random.State.int64 st (Int64.shift_left 1L 53) in
+    check_float_rule
+      (Float.ldexp (Int64.to_float i) (Random.State.int st 80 - 20))
+  done
 
 let prop_json_string_roundtrip =
   QCheck.Test.make ~name:"string escaping round-trips arbitrary bytes"
@@ -383,6 +439,8 @@ let () =
           Alcotest.test_case "non-finite tokens" `Quick
             test_json_nonfinite_tokens;
           Alcotest.test_case "float format" `Quick test_json_float_format;
+          Alcotest.test_case "float edges match the rule" `Quick
+            test_json_float_edges;
           q prop_json_float_roundtrip;
           q prop_json_string_roundtrip;
         ] );
