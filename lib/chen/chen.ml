@@ -12,7 +12,7 @@ type t = {
 
 let machines t = t.machines
 let interval_length t = t.length
-let total_load t = t.prefix.(Array.length t.loads)
+let[@inline] total_load t = t.prefix.(Array.length t.loads)
 
 (* The dedicated set is the maximal prefix (in decreasing load order) such
    that each member carries at least the per-processor average of what
@@ -130,18 +130,18 @@ let processor_loads t =
   Array.init t.machines (fun i ->
       if i < d then t.loads.(i) else pool_speed *. t.length)
 
-(* Number of stored loads strictly greater than [x] (loads sorted desc). *)
-let count_gt t x =
+(* Number of stored loads strictly greater than [x] (loads sorted desc).
+   A loop rather than a local recursive function: this runs on every
+   probe, and the function would be a closure over [x]. *)
+let[@inline] count_gt t x =
   let loads = t.loads in
-  let p = Array.length loads in
-  let rec go lo hi =
-    (* invariant: loads.(i) > x for i < lo; loads.(i) <= x for i >= hi *)
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if loads.(mid) > x then go (mid + 1) hi else go lo mid
-  in
-  go 0 p
+  let lo = ref 0 and hi = ref (Array.length loads) in
+  (* invariant: loads.(i) > x for i < lo; loads.(i) <= x for i >= hi *)
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if loads.(mid) > x then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (* Incrementally insert one (id, load) pair: O(p) blits, no sort and no
    duplicate scan — the committed-state update PD performs once per window
@@ -186,10 +186,14 @@ let rescale t ~length ~factor =
   let n_dedicated = dedicated_prefix ~machines:t.machines ~loads ~prefix in
   { t with length; loads; prefix; n_dedicated }
 
-let probe_speed_zero t =
+(* On every probe: the pool speed is computed in place rather than read
+   off [pool_stats]'s tuple, and inlining keeps the result unboxed. *)
+let[@inline] probe_speed_zero t =
   let d = t.n_dedicated in
-  let _, pool_procs, pool_speed = pool_stats t in
-  if pool_procs > 0 then pool_speed
+  let pool_procs = t.machines - d in
+  if pool_procs > 0 then
+    (t.prefix.(Array.length t.loads) -. t.prefix.(d))
+    /. (float_of_int pool_procs *. t.length)
   else
     (* all m processors dedicated; an infinitesimal probe would pool with
        the smallest dedicated job *)
@@ -243,59 +247,136 @@ let probe_load_for_speed t s =
    We emit the full superset for every d; spurious entries inside an
    affine stretch are harmless — callers only rely on g being affine
    BETWEEN consecutive entries, never on every entry being a real kink. *)
-let probe_breakpoints t ~cap =
+let breakpoint_capacity t =
+  let p = Array.length t.loads in
+  2 + Int.min p t.machines + (3 * (Int.min p (t.machines - 1) + 1))
+
+(* One candidate: stored at [buf.(n)] when finite and in [[lo, hi)].
+   Inlined at every call site, so [s] is never boxed. *)
+let[@inline always] keep (buf : float array) n ~lo ~hi s =
+  if Float.is_finite s && s >= lo && s < hi then begin
+    buf.(n) <- s;
+    n + 1
+  end
+  else n
+
+let write_breakpoints t ~cap ~below buf pos =
   if Float.is_nan cap || cap <= 0.0 then
-    invalid_arg "Chen.probe_breakpoints: cap must be > 0";
+    invalid_arg "Chen.write_breakpoints: cap must be > 0";
   let m = t.machines and l = t.length in
   let p = Array.length t.loads in
-  let psz = probe_speed_zero t in
+  let lo = probe_speed_zero t and hi = below in
   let dmax = Int.min p (m - 1) in
-  (* flat buffer, insertion-sorted in place: this runs once per window
-     interval per arrival, so no lists, no comparison closures *)
-  let buf = Array.make (2 + Int.min p m + (3 * (dmax + 1))) 0.0 in
-  let n = ref 0 in
-  let push s =
-    if Float.is_finite s && s >= psz then begin
-      buf.(!n) <- s;
-      incr n
-    end
-  in
-  push psz;
+  let total = total_load t in
+  let n = ref (keep buf pos ~lo ~hi lo) in
   (* d-transitions: only the first m matter (d >= m forces z = 0) *)
   for i = 0 to Int.min p m - 1 do
-    push (t.loads.(i) /. l)
+    n := keep buf !n ~lo ~hi (t.loads.(i) /. l)
   done;
   (* per fixed dedicated count d: entry (z_pool = 0), saturation
      (z_pool = cap) and handover (z_pool = s*l) speeds *)
   for d = 0 to dmax do
-    let others = total_load t -. t.prefix.(d) in
+    let others = total -. t.prefix.(d) in
     let procs = float_of_int (m - d) in
-    push (others /. (procs *. l));
-    push ((cap +. others) /. (procs *. l));
-    if m - d - 1 >= 1 then push (others /. (float_of_int (m - d - 1) *. l))
+    n := keep buf !n ~lo ~hi (others /. (procs *. l));
+    n := keep buf !n ~lo ~hi ((cap +. others) /. (procs *. l));
+    if m - d - 1 >= 1 then
+      n := keep buf !n ~lo ~hi (others /. (float_of_int (m - d - 1) *. l))
   done;
   (* the z = s*l branch saturates *)
-  push (cap /. l);
-  let len = !n in
-  for i = 1 to len - 1 do
-    let x = buf.(i) in
+  keep buf !n ~lo ~hi (cap /. l)
+
+(* The sort behind [sort_unique]: introsort on a float array.  It is
+   monomorphic, so no comparison closure runs and no float is boxed
+   ([Array.sort] would box every element it compares), and it works in
+   place.  Quicksort with a median-of-three pivot does the work, ranges
+   of at most 16 entries are finished by insertion sort, and a range
+   still unsorted [2 log2 n] partitions down is heapsorted, which bounds
+   every input at O(n log n). *)
+let swap (a : float array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let insertion_sort (a : float array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
     let j = ref (i - 1) in
-    while !j >= 0 && buf.(!j) > x do
-      buf.(!j + 1) <- buf.(!j);
+    while !j >= lo && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
       decr j
     done;
-    buf.(!j + 1) <- x
+    a.(!j + 1) <- x
+  done
+
+(* Restore the max-heap below heap index [i] of the heap stored at
+   [a.(lo) .. a.(lo + n - 1)]. *)
+let rec sift_down (a : float array) lo i n =
+  let c = (2 * i) + 1 in
+  if c < n then begin
+    let c = if c + 1 < n && a.(lo + c + 1) > a.(lo + c) then c + 1 else c in
+    if a.(lo + c) > a.(lo + i) then begin
+      swap a (lo + i) (lo + c);
+      sift_down a lo c n
+    end
+  end
+
+let heap_sort (a : float array) lo hi =
+  let n = hi - lo in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a lo i n
   done;
-  let out = ref 0 and prev = ref Float.nan in
-  for i = 0 to len - 1 do
-    let x = buf.(i) in
-    if !out = 0 || not (Float.equal !prev x) then begin
-      buf.(!out) <- x;
-      incr out;
-      prev := x
+  for last = n - 1 downto 1 do
+    swap a lo (lo + last);
+    sift_down a lo 0 last
+  done
+
+let rec intro_sort (a : float array) lo hi depth =
+  if hi - lo <= 16 then insertion_sort a lo hi
+  else if depth <= 0 then heap_sort a lo hi
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    if a.(mid) < a.(lo) then swap a mid lo;
+    if a.(hi - 1) < a.(lo) then swap a (hi - 1) lo;
+    if a.(hi - 1) < a.(mid) then swap a (hi - 1) mid;
+    let pivot = a.(mid) in
+    (* Hoare partition: afterwards a.(lo..j) <= pivot <= a.(i..hi-1) *)
+    let i = ref lo and j = ref (hi - 1) in
+    while !i <= !j do
+      while a.(!i) < pivot do
+        incr i
+      done;
+      while a.(!j) > pivot do
+        decr j
+      done;
+      if !i <= !j then begin
+        swap a !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    intro_sort a lo (!j + 1) (depth - 1);
+    intro_sort a !i hi (depth - 1)
+  end
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+
+let sort_unique (a : float array) n =
+  intro_sort a 0 n (2 * log2 n);
+  let out = ref 0 in
+  for i = 0 to n - 1 do
+    let x = a.(i) in
+    if !out = 0 || not (Float.equal a.(!out - 1) x) then begin
+      a.(!out) <- x;
+      incr out
     end
   done;
-  Array.sub buf 0 !out
+  !out
+
+let probe_breakpoints t ~cap =
+  let buf = Array.make (breakpoint_capacity t) 0.0 in
+  let n = write_breakpoints t ~cap ~below:Float.infinity buf 0 in
+  Array.sub buf 0 (sort_unique buf n)
 
 let marginal_power power t = Power.deriv power (probe_speed_zero t)
 

@@ -98,13 +98,37 @@ val probe_breakpoints : t -> cap:float -> float array
 (** Sorted, duplicate-free speeds [s_1 < s_2 < ... < s_B] such that the
     capped probe response [g s = min (probe_load_for_speed t s) cap] is
     affine on every segment [[s_i, s_{i+1}]], identically [0] at and below
-    [s_1], and equal to [cap] at [s_B] (and beyond).  A superset of the
-    true kinks of [g] — spurious interior entries are allowed — with
-    [O(machines)] entries.  This is the primitive behind PD's fast
-    water-filling: between two adjacent merged breakpoints the total work
-    a new job would commit across its window is a sum of affine functions,
-    so the finishing price falls out of one linear interpolation instead
-    of a blind bisection.  [cap] must be positive. *)
+    [s_1 = probe_speed t 0], and equal to [cap] at [s_B] (and beyond).  A
+    superset of the true kinks of [g] — spurious interior entries are
+    allowed — with at most {!breakpoint_capacity} entries.  [cap] must be
+    positive.  This is {!write_breakpoints} into a fresh array followed by
+    {!sort_unique}; PD's water-filling calls those two directly on one
+    scratch buffer for its whole window, so that between two adjacent
+    merged breakpoints the total work a new job would commit is a sum of
+    affine functions and the finishing price falls out of one linear
+    interpolation instead of a blind bisection. *)
+
+val breakpoint_capacity : t -> int
+(** Upper bound on the entries one {!write_breakpoints} call writes:
+    [2 + min p m + 3 (min p (m - 1) + 1)] for [p] stored loads. *)
+
+val write_breakpoints :
+  t -> cap:float -> below:float -> float array -> int -> int
+(** [write_breakpoints t ~cap ~below buf pos] writes the raw candidate
+    speeds behind {!probe_breakpoints} — unsorted, possibly repeated —
+    into [buf] from index [pos] on, and returns the next free index.
+    Candidates that are not finite, lie below [probe_speed t 0], or are
+    at or above [below] are dropped as they are generated ([below =
+    infinity] keeps them all).  [buf] needs room for
+    {!breakpoint_capacity} entries past [pos]; nothing is allocated.
+    [cap] must be positive. *)
+
+val sort_unique : float array -> int -> int
+(** [sort_unique a n] sorts [a.(0) .. a.(n-1)] ascending in place, moves
+    the distinct values to the front and returns their count.  The
+    entries must not be NaN.  Introsort without allocation: quicksort
+    until [2 log2 n] partitions deep, then heapsort, so O(n log n) on
+    every input; ranges of at most 16 entries are insertion-sorted. *)
 
 val marginal_power : Power.t -> t -> float
 (** [P'_α(probe_speed t 0)] — the marginal energy cost per unit of load a

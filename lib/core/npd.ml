@@ -143,6 +143,7 @@ module Windows = struct
       Pd_core.r_probes = t.probes_now;
       r_intervals = t.intervals_last;
       r_breakpoints = 0;
+      r_bisections = 0;
     }
 
   let schedule t ~rejected =

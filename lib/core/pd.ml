@@ -22,6 +22,7 @@ type arrival_stats = Pd_core.arrival_stats = {
   probes : int;
   intervals : int;
   breakpoints : int;
+  bisections : int;
   wall_s : float;
 }
 
@@ -30,6 +31,7 @@ type stats = Pd_core.stats = {
   probes : int;
   intervals : int;
   breakpoints : int;
+  bisections : int;
 }
 
 type mem_stats = Pd_core.mem_stats = {

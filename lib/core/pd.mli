@@ -21,9 +21,9 @@
     [s(μ) = P'^{-1}(μ / (δ w_j))]; the load interval [T_k] absorbs at that
     price is [Chen.probe_load_for_speed] — a closed form — so the final
     common price is the water-filling fixed point of a monotone assignment
-    function.  {!arrive} resolves it by merging each window interval's
-    {!Chen.probe_breakpoints} (the assignment is affine between adjacent
-    merged breakpoints) and interpolating inside the bracketing segment —
+    function.  {!arrive} resolves it by sorting every window interval's
+    {!Chen.write_breakpoints} candidates into one list (the assignment is
+    affine between adjacent merged breakpoints) and interpolating inside the bracketing segment —
     O(log breakpoints) window sweeps instead of the ~200 a blind bisection
     needs.  {!arrive_reference} keeps the pre-optimization outer bisection
     as a test oracle; both paths share the timeline, probe and bookkeeping
@@ -84,6 +84,11 @@ type arrival_stats = {
   intervals : int;  (** atomic intervals in the job's window *)
   breakpoints : int;
       (** merged breakpoint count ([0] on the reference path) *)
+  bisections : int;
+      (** fallback bisections: [1] when the interpolated speed missed the
+          target and [Bisect.monotone_inverse] ran inside the bracketing
+          segment, whose probes are part of [probes] ([0] on the
+          reference path) *)
   wall_s : float;  (** wall-clock seconds ([0] without [create ~clock]) *)
 }
 (** Per-arrival instrumentation, delivered to the {!set_observer} hook
@@ -100,6 +105,7 @@ type stats = {
   probes : int;  (** cumulative probe evaluations *)
   intervals : int;  (** cumulative window sizes *)
   breakpoints : int;  (** cumulative merged breakpoint counts *)
+  bisections : int;  (** cumulative fallback bisections *)
 }
 
 val stats : t -> stats

@@ -29,6 +29,9 @@ type arrival_stats = {
   probes : int;  (** [Chen.probe_load_for_speed] evaluations this arrival *)
   intervals : int;  (** candidate intervals/slots in the job's window *)
   breakpoints : int;  (** merged breakpoint count (0 on the reference path) *)
+  bisections : int;
+      (** fallback bisections inside the bracketing segment (0 on the
+          reference path) *)
   wall_s : float;  (** wall-clock seconds, 0 unless [create ~clock] *)
 }
 
@@ -37,6 +40,7 @@ type stats = {
   probes : int;
   intervals : int;
   breakpoints : int;
+  bisections : int;
 }
 
 type mem_stats = {
@@ -227,7 +231,12 @@ module Energy_value = struct
   let guarantee t = Power.competitive_bound t.power
 end
 
-type relax_arrival = { r_probes : int; r_intervals : int; r_breakpoints : int }
+type relax_arrival = {
+  r_probes : int;
+  r_intervals : int;
+  r_breakpoints : int;
+  r_bisections : int;
+}
 
 type relax_mem = {
   r_live : int;
@@ -331,6 +340,7 @@ struct
     mutable probes_total : int;
     mutable intervals_total : int;
     mutable breakpoints_total : int;
+    mutable bisections_total : int;
     mutable max_table : int;
   }
 
@@ -355,6 +365,7 @@ struct
       probes_total = 0;
       intervals_total = 0;
       breakpoints_total = 0;
+      bisections_total = 0;
       max_table = 0;
     }
 
@@ -370,6 +381,7 @@ struct
       probes = t.probes_total;
       intervals = t.intervals_total;
       breakpoints = t.breakpoints_total;
+      bisections = t.bisections_total;
     }
 
   let mem t =
@@ -407,6 +419,7 @@ struct
     t.probes_total <- t.probes_total + ra.r_probes;
     t.intervals_total <- t.intervals_total + ra.r_intervals;
     t.breakpoints_total <- t.breakpoints_total + ra.r_breakpoints;
+    t.bisections_total <- t.bisections_total + ra.r_bisections;
     match t.observer with
     | None -> ()
     | Some obs ->
@@ -418,6 +431,7 @@ struct
           probes = ra.r_probes;
           intervals = ra.r_intervals;
           breakpoints = ra.r_breakpoints;
+          bisections = ra.r_bisections;
           wall_s;
         }
 
@@ -527,10 +541,14 @@ module Interval (O : OBJECTIVE) = struct
     finished : Slab.t;
     mutable flushed_intervals : int;
     mutable max_live : int;
+    (* Breakpoint scratch for [solve_speed], grown on first use so that
+       [create] allocates nothing for it. *)
+    mutable scratch : float array;
     (* instrumentation of the last price call *)
     mutable probes_now : int;
     mutable intervals_last : int;
     mutable breakpoints_last : int;
+    mutable bisections_last : int;
   }
 
   let create obj ~err ~gc =
@@ -544,9 +562,11 @@ module Interval (O : OBJECTIVE) = struct
       finished = Slab.create ();
       flushed_intervals = 0;
       max_live = 0;
+      scratch = [||];
       probes_now = 0;
       intervals_last = 0;
       breakpoints_last = 0;
+      bisections_last = 0;
     }
 
   (* Insert [b] as a boundary unless an existing boundary lies within the
@@ -676,34 +696,49 @@ module Interval (O : OBJECTIVE) = struct
     if live > t.max_live then t.max_live <- live
 
   (* Work (in load units) the job would commit across [probs] at speed
-     [s].  Summation order is interval order (the Ksum accumulation both
-     arrival paths share float-for-float). *)
+     [s].  Summation order is interval order; the loop is [Ksum.add]'s
+     Neumaier steps written out in the same order, so the sum is
+     float-for-float [Ksum]'s.  This runs on every probe, and a call to
+     [Ksum.add] across modules would box its float argument each time;
+     the two must change together (lib/util/ksum.ml says so too). *)
   let assigned_at_speed t ~w probs s =
-    t.probes_now <- t.probes_now + Array.length probs;
-    let acc = Ksum.create () in
-    Array.iter
-      (fun (_, _, p) ->
-        Ksum.add acc (Float.min (Chen.probe_load_for_speed p s) w))
-      probs;
-    Ksum.total acc
+    let n = Array.length probs in
+    t.probes_now <- t.probes_now + n;
+    let sum = ref 0.0 and comp = ref 0.0 in
+    for i = 0 to n - 1 do
+      let _, _, p = probs.(i) in
+      let x = Float.min (Chen.probe_load_for_speed p s) w in
+      let acc = !sum in
+      let s' = acc +. x in
+      if Float.abs acc >= Float.abs x then comp := !comp +. (acc -. s' +. x)
+      else comp := !comp +. (x -. s' +. acc);
+      sum := s'
+    done;
+    !sum +. !comp
 
   (* Commit the accepted assignment at the final price: rescale so the job
      is finished exactly despite solver dust, then pour the loads into the
      interval records.  A near-zero total cannot be rescued by rescaling —
      fail loudly instead of recording an acceptance backed by a garbage
-     schedule. *)
+     schedule.  The total goes through [Ksum] itself, not the inline copy
+     in [assigned_at_speed]: this runs once per acceptance, not once per
+     probe, so the boxed argument is not worth a second copy. *)
   let commit_loads t (job : Job.t) probs lambda =
     let w = job.workload in
     let s = O.speed_of_price t.obj ~workload:w lambda in
-    t.probes_now <- t.probes_now + Array.length probs;
-    let assignment =
-      List.filter_map
-        (fun (k, iv, p) ->
-          let z = Float.min (Chen.probe_load_for_speed p s) w in
-          if z > 0.0 then Some (k, iv, z) else None)
-        (Array.to_list probs)
-    in
-    let total = Ksum.sum_by (fun (_, _, z) -> z) assignment in
+    let n = Array.length probs in
+    t.probes_now <- t.probes_now + n;
+    let zs = Array.make n 0.0 in
+    let acc = Ksum.create () in
+    for i = 0 to n - 1 do
+      let _, _, p = probs.(i) in
+      let z = Float.min (Chen.probe_load_for_speed p s) w in
+      if z > 0.0 then begin
+        zs.(i) <- z;
+        Ksum.add acc z
+      end
+    done;
+    let total = Ksum.total acc in
     if not (total > Feq.tol_snap *. w) then
       failwith
         (Fmt.str
@@ -711,75 +746,32 @@ module Interval (O : OBJECTIVE) = struct
             assigned"
            t.err job.id total w);
     let scale = w /. total in
-    let assignment =
-      List.map (fun (k, iv, z) -> (k, iv, z *. scale)) assignment
-    in
-    List.iter
-      (fun (_, iv, z) ->
+    (* back to front, so the public assignment comes out in interval
+       order without a reversal *)
+    let assignment = ref [] in
+    for i = n - 1 downto 0 do
+      if zs.(i) > 0.0 then begin
+        let k, iv, _ = probs.(i) in
+        let z = zs.(i) *. scale in
         iv.loads <- (job.id, z) :: iv.loads;
         iv.cache <-
           (match iv.cache with
           | Some c -> Some (Chen.add_load c (job.id, z))
-          | None -> None))
-      assignment;
-    List.map (fun (k, _, z) -> (k, z)) assignment
+          | None -> None);
+        assignment := (k, z) :: !assignment
+      end
+    done;
+    !assignment
 
   (* ---------------------------------------------------------------- *)
   (* Optimized price solve: breakpoint walk                             *)
   (* ---------------------------------------------------------------- *)
 
-  let merge_sorted a b =
-    let la = Array.length a and lb = Array.length b in
-    if la = 0 then b
-    else if lb = 0 then a
-    else begin
-      let out = Array.make (la + lb) 0.0 in
-      let i = ref 0 and j = ref 0 and k = ref 0 in
-      while !i < la && !j < lb do
-        let x = a.(!i) and y = b.(!j) in
-        if x <= y then begin
-          out.(!k) <- x;
-          incr i
-        end
-        else begin
-          out.(!k) <- y;
-          incr j
-        end;
-        incr k
-      done;
-      if !i < la then Array.blit a !i out !k (la - !i)
-      else Array.blit b !j out !k (lb - !j);
-      out
-    end
-
-  (* Merged, sorted, duplicate-free breakpoint speeds of the window's
-     capped probe responses.  The total assigned work is affine between
-     adjacent entries, zero at the first entry.  Per-interval lists are
-     already sorted, so balanced two-way merges do the whole job unboxed —
-     [Array.sort]'s polymorphic comparator boxes every float it touches,
-     which is measurable at one merge per arrival. *)
-  let merged_breakpoints ~w probs =
-    let parts =
-      Array.map (fun (_, _, p) -> Chen.probe_breakpoints p ~cap:w) probs
-    in
-    let rec reduce lo hi =
-      if hi - lo = 1 then parts.(lo)
-      else
-        let mid = (lo + hi) / 2 in
-        merge_sorted (reduce lo mid) (reduce mid hi)
-    in
-    let all = reduce 0 (Array.length parts) in
-    let n = Array.length all in
-    let out = ref 0 and prev = ref Float.nan in
-    for i = 0 to n - 1 do
-      let x = all.(i) in
-      if !out = 0 || not (Float.equal !prev x) then begin
-        all.(!out) <- x;
-        incr out;
-        prev := x
-      end
-    done;
-    Array.sub all 0 !out
+  (* The scratch buffer with room for [need] entries. *)
+  let scratch t need =
+    if Array.length t.scratch < need then
+      t.scratch <- Array.make (Int.max need (2 * Array.length t.scratch)) 0.0;
+    t.scratch
 
   (* Find the speed s_star with assigned s_star = w by walking the merged
      breakpoint list: binary-search the first breakpoint whose assignment
@@ -787,33 +779,45 @@ module Interval (O : OBJECTIVE) = struct
      is affine there, so the interpolation is exact up to rounding; a
      bracketed bisection inside the segment is kept as a fallback).
 
+     The list is every window interval's [Chen.write_breakpoints] output
+     in one scratch buffer, sorted and deduplicated once: the total
+     assigned work is affine between adjacent entries and zero at the
+     first.
+
      [bound_s]: [Some s_v] caps the search at the job's value speed —
+     breakpoints at or above it are dropped and s_v ends the list, and
      [None] is returned when the assignment never reaches [w] below it,
      which the caller interprets as "the job finishes exactly as the price
      reaches its value".  With [bound_s = None] a sentinel past the global
      saturation breakpoint guarantees the crossing exists. *)
   let solve_speed t ~w probs ~bound_s =
+    let below = match bound_s with Some sv -> sv | None -> Float.infinity in
+    let need = ref 1 in
+    for i = 0 to Array.length probs - 1 do
+      let _, _, p = probs.(i) in
+      need := !need + Chen.breakpoint_capacity p
+    done;
+    let bps = scratch t !need in
+    let raw = ref 0 in
+    for i = 0 to Array.length probs - 1 do
+      let _, _, p = probs.(i) in
+      raw := Chen.write_breakpoints p ~cap:w ~below bps !raw
+    done;
+    let n = Chen.sort_unique bps !raw in
+    bps.(n) <-
+      (match bound_s with
+      | Some sv -> sv
+      | None -> bps.(n - 1) *. (1.0 +. Feq.tol_loose));
+    let n = n + 1 in
+    t.breakpoints_last <- n;
     let f s = assigned_at_speed t ~w probs s in
-    let nat = merged_breakpoints ~w probs in
-    let bps =
-      match bound_s with
-      | Some sv ->
-        let below =
-          Array.of_list (List.filter (fun s -> s < sv) (Array.to_list nat))
-        in
-        Array.append below [| sv |]
-      | None ->
-        let last = nat.(Array.length nat - 1) in
-        Array.append nat [| last *. (1.0 +. Feq.tol_loose) |]
-    in
-    let n = Array.length bps in
     (* Cancellation in the probe's closed form can make f at the exact
        saturation breakpoint evaluate a few ulp short of w; a strict >= w
        search would then skip past it onto the plateau, where interpolation
        is meaningless.  Searching against w minus a whisker keeps the
        bracketing segment at (or before) the true crossing. *)
     let w_eff = w -. (Feq.tol_guard *. (1.0 +. w)) in
-    if f bps.(n - 1) < w_eff then (None, n)
+    if f bps.(n - 1) < w_eff then None
     else begin
       (* smallest j with f bps.(j) >= w_eff; f is 0 at the first natural
          breakpoint so the crossing segment has j >= 1 whenever one exists *)
@@ -823,28 +827,27 @@ module Interval (O : OBJECTIVE) = struct
         if f bps.(mid) >= w_eff then hi := mid else lo := mid + 1
       done;
       let j = !hi in
-      let sa, fa =
-        if j = 0 then (0.0, 0.0) else (bps.(j - 1), f bps.(j - 1))
-      in
+      let sa = if j = 0 then 0.0 else bps.(j - 1) in
+      let fa = if j = 0 then 0.0 else f sa in
       let sb = bps.(j) in
       let fb = f sb in
-      let s_star =
-        if fb < w || fb -. fa <= 0.0 then
-          (* the segment tops out within tolerance of w: its right endpoint
-             is the crossing (either the saturation breakpoint under FP
-             jitter, or the value-speed cap of a job finishing exactly as
-             the price reaches its value) *)
-          sb
+      if fb < w || fb -. fa <= 0.0 then
+        (* the segment tops out within tolerance of w: its right endpoint
+           is the crossing (either the saturation breakpoint under FP
+           jitter, or the value-speed cap of a job finishing exactly as
+           the price reaches its value) *)
+        Some sb
+      else begin
+        let s =
+          Feq.clamp ~lo:sa ~hi:sb
+            (sa +. ((w -. fa) *. (sb -. sa) /. (fb -. fa)))
+        in
+        if Float.abs (f s -. w) <= Feq.tol_snap *. (1.0 +. w) then Some s
         else begin
-          let s =
-            Feq.clamp ~lo:sa ~hi:sb
-              (sa +. ((w -. fa) *. (sb -. sa) /. (fb -. fa)))
-          in
-          if Float.abs (f s -. w) <= Feq.tol_snap *. (1.0 +. w) then s
-          else Bisect.monotone_inverse ~f ~target:w ~lo:sa ~hi:sb ()
+          t.bisections_last <- t.bisections_last + 1;
+          Some (Bisect.monotone_inverse ~f ~target:w ~lo:sa ~hi:sb ())
         end
-      in
-      (Some s_star, n)
+      end
     end
 
   (* ---------------------------------------------------------------- *)
@@ -857,8 +860,8 @@ module Interval (O : OBJECTIVE) = struct
     if k_lo >= k_hi then [||]
     else begin
       let base = Tline.rank k_lo t.live in
-      let win = Tline.bindings_range ~lo:k_lo ~hi:k_hi t.live in
-      Array.of_list (List.mapi (fun i (_, iv) -> (base + i, iv, chen t iv)) win)
+      let win = Array.of_list (Tline.bindings_range ~lo:k_lo ~hi:k_hi t.live) in
+      Array.mapi (fun i (_, iv) -> (base + i, iv, chen t iv)) win
     end
 
   (* A job whose window collapsed onto existing boundaries (span below the
@@ -882,10 +885,8 @@ module Interval (O : OBJECTIVE) = struct
     if finite && at_value < w *. (1.0 -. Feq.tol_snap) then Reject job.value
     else begin
       let bound_s = if finite then Some s_v else None in
-      let s_star, breakpoints = solve_speed t ~w probs ~bound_s in
-      t.breakpoints_last <- breakpoints;
       let lambda =
-        match s_star with
+        match solve_speed t ~w probs ~bound_s with
         | Some s -> O.price_of_speed t.obj ~workload:w s
         | None ->
           (* the assignment never reaches w strictly below the value
@@ -944,6 +945,7 @@ module Interval (O : OBJECTIVE) = struct
   let price t (job : Job.t) ~reference =
     t.probes_now <- 0;
     t.breakpoints_last <- 0;
+    t.bisections_last <- 0;
     let probs = window t job in
     t.intervals_last <- Array.length probs;
     if Array.length probs = 0 then degenerate_window t job
@@ -955,6 +957,7 @@ module Interval (O : OBJECTIVE) = struct
       r_probes = t.probes_now;
       r_intervals = t.intervals_last;
       r_breakpoints = t.breakpoints_last;
+      r_bisections = t.bisections_last;
     }
 
   (* ---------------------------------------------------------------- *)

@@ -55,6 +55,10 @@ type arrival_stats = {
   intervals : int;  (** candidate intervals/slots in the job's window *)
   breakpoints : int;
       (** merged breakpoint count ([0] on the reference path) *)
+  bisections : int;
+      (** fallback bisections inside the bracketing segment, when the
+          interpolated speed missed the target ([0] on the reference
+          path) *)
   wall_s : float;  (** wall-clock seconds ([0] without [create ~clock]) *)
 }
 
@@ -63,6 +67,7 @@ type stats = {
   probes : int;
   intervals : int;
   breakpoints : int;
+  bisections : int;
 }
 
 type mem_stats = {
@@ -149,7 +154,12 @@ module Energy_value : sig
       (prefixed with [err]) for [machines < 1] or [delta <= 0]. *)
 end
 
-type relax_arrival = { r_probes : int; r_intervals : int; r_breakpoints : int }
+type relax_arrival = {
+  r_probes : int;
+  r_intervals : int;
+  r_breakpoints : int;
+  r_bisections : int;
+}
 
 type relax_mem = {
   r_live : int;

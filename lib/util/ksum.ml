@@ -2,7 +2,10 @@ type t = { mutable sum : float; mutable comp : float }
 
 let create () = { sum = 0.0; comp = 0.0 }
 
-(* Neumaier's variant: also correct when the addend dominates the sum. *)
+(* Neumaier's variant: also correct when the addend dominates the sum.
+   [Pd_core]'s [assigned_at_speed] repeats these steps inline, in this
+   order, because a call here from its per-probe loop would box the
+   float argument; a change to this rule must be made there too. *)
 let add acc x =
   let t = acc.sum +. x in
   if Float.abs acc.sum >= Float.abs x then

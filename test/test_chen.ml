@@ -334,6 +334,90 @@ let test_breakpoints_empty_interval () =
   check_float "zero at first" 0.0 (g bps.(0));
   check_float "cap at last" 3.0 (g bps.(Array.length bps - 1))
 
+(* [write_breakpoints] is the generator behind [probe_breakpoints]: its
+   output, sorted and deduplicated, is exactly the breakpoint list cut
+   below [below]; it writes only inside [pos, pos + capacity) and returns
+   the end of what it wrote. *)
+let prop_write_breakpoints_cut =
+  QCheck.Test.make
+    ~name:"write_breakpoints: in bounds, sorted = probe_breakpoints below cut"
+    ~count:500
+    QCheck.(
+      quad arb_loads (float_range 0.05 8.0) (float_range 0.0 1.5)
+        (int_range 0 5))
+    (fun ((m, l, loads), cap, frac, pos) ->
+      let t = build ~m ~l loads in
+      let full = Chen.probe_breakpoints t ~cap in
+      let nf = Array.length full in
+      (* no cut, a cut exactly at a breakpoint (which must drop it), or a
+         cut between breakpoints *)
+      let below =
+        if frac > 1.25 then Float.infinity
+        else if frac > 1.0 then
+          full.(int_of_float ((frac -. 1.0) *. 4.0 *. float_of_int nf) mod nf)
+        else full.(0) +. (frac *. (full.(nf - 1) -. full.(0)))
+      in
+      let capacity = Chen.breakpoint_capacity t in
+      let buf = Array.make (pos + capacity + 2) Float.nan in
+      let stop = Chen.write_breakpoints t ~cap ~below buf pos in
+      if stop < pos || stop > pos + capacity then
+        QCheck.Test.fail_reportf "wrote [%d, %d), capacity %d" pos stop
+          capacity;
+      Array.iteri
+        (fun i x ->
+          if (i < pos || i >= stop) && not (Float.is_nan x) then
+            QCheck.Test.fail_reportf "wrote outside [%d, %d) at %d" pos stop
+              i)
+        buf;
+      let written = Array.sub buf pos (stop - pos) in
+      let got = Array.sub written 0 (Chen.sort_unique written (stop - pos)) in
+      let want =
+        Array.of_list (List.filter (fun s -> s < below) (Array.to_list full))
+      in
+      if got <> want then
+        QCheck.Test.fail_reportf "%d breakpoints below %g, expected %d"
+          (Array.length got) below (Array.length want);
+      true)
+
+(* The introsort under [sort_unique] against the stdlib sort: values from
+   a small pool so duplicates abound, sizes on both sides of the
+   insertion-sort cutoff. *)
+let prop_sort_unique_matches_stdlib =
+  QCheck.Test.make ~name:"sort_unique = List.sort_uniq" ~count:500
+    QCheck.(list_of_size Gen.(0 -- 300) (map float_of_int (int_range (-40) 40)))
+    (fun xs ->
+      let xs = List.map (fun x -> x /. 4.0) xs in
+      let a = Array.of_list xs in
+      let n = Chen.sort_unique a (Array.length a) in
+      Array.to_list (Array.sub a 0 n) = List.sort_uniq Float.compare xs)
+
+(* Inputs that defeat the median-of-three pivot, so the quicksort phase
+   runs out of its [2 log2 n] partitions with more than 16 entries left
+   and the heapsort fallback sorts the rest (for n >= 40).  The shape is
+   what McIlroy's adversary ("A killer adversary for quicksort", 1999)
+   produces against this partition: even values on the even slots of the
+   first half, one repeated large value on its odd slots, the odd values
+   3, 5, ... from the middle on, and 1 last. *)
+let median_of_three_killer n =
+  let h = n / 2 in
+  Array.init n (fun i ->
+      float_of_int
+        (if i < h then if i mod 2 = 0 then i else n
+         else if i = n - 1 then 1
+         else (2 * (i - h)) + 3))
+
+let test_sort_unique_heapsort_path () =
+  List.iter
+    (fun n ->
+      let a = median_of_three_killer n in
+      let want = List.sort_uniq Float.compare (Array.to_list a) in
+      let k = Chen.sort_unique a n in
+      Alcotest.(check (list (float 0.0)))
+        (Printf.sprintf "n = %d" n)
+        want
+        (Array.to_list (Array.sub a 0 k)))
+    [ 40; 64; 100; 1000; 4096 ]
+
 let close_12 a b = Feq.approx ~atol:1e-12 ~rtol:1e-12 a b
 
 let same_problem a b =
@@ -513,6 +597,10 @@ let () =
           Alcotest.test_case "breakpoints on empty interval" `Quick
             test_breakpoints_empty_interval;
           q prop_breakpoints_piecewise_affine;
+          q prop_write_breakpoints_cut;
+          q prop_sort_unique_matches_stdlib;
+          Alcotest.test_case "sort_unique on median-of-3 killers" `Quick
+            test_sort_unique_heapsort_path;
           q prop_add_load_matches_build;
           q prop_rescale_matches_build;
         ] );

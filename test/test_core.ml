@@ -281,17 +281,20 @@ let prop_pd_total_work_conserved =
 (* Optimized vs reference arrival path                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The breakpoint-walk solver in Pd.arrive must be a pure speedup: on the
-   alpha/machine grid the issue singles out, every decision, multiplier
-   and resulting schedule has to match the retained bisection oracle. *)
+(* The breakpoint-walk solver in Pd.arrive must be a pure speedup: on an
+   alpha/machine grid, every decision, multiplier and resulting schedule
+   has to match the retained bisection oracle.  Up to 30 jobs released
+   over [0, 6) with spans up to 4 pile ten or more committed loads onto
+   one interval, so at m = 8 the breakpoint candidates reach their full
+   length (dedicated counts up to 7) and windows cover many intervals. *)
 let gen_equiv_setup =
   QCheck.Gen.(
     let* alpha = oneofl [ 1.5; 2.0; 3.0 ] in
-    let* machines = oneofl [ 1; 4 ] in
-    let* n = 1 -- 12 in
+    let* machines = oneofl [ 1; 4; 8 ] in
+    let* n = 1 -- 30 in
     let* jobs =
       list_size (return n)
-        (let* r = float_range 0.0 8.0 in
+        (let* r = float_range 0.0 6.0 in
          let* span = float_range 0.3 4.0 in
          let* w = float_range 0.2 3.0 in
          let* v = float_range 0.05 25.0 in
@@ -588,6 +591,25 @@ let test_arrival_stats_observer () =
   Alcotest.(check int) "arrivals counted" 2 st.arrivals;
   Alcotest.(check int) "probe totals add up" st.probes
     (List.fold_left (fun acc (s : Pd.arrival_stats) -> acc + s.probes) 0 !seen);
+  Alcotest.(check int) "interpolation lands, no fallback bisection" 0
+    st.bisections;
+  (* a small job on intervals carrying ~10^9 times its load: the probe's
+     closed form cancels, the interpolated speed misses w by more than
+     the snap tolerance, and the walk falls back to bisecting the
+     bracketing segment -- on the third arrival only *)
+  let big = Pd.create ~power:p2 ~machines:1 () in
+  let per_job = ref [] in
+  Pd.set_observer big (Some (fun s -> per_job := s.bisections :: !per_job));
+  List.iter
+    (fun j -> ignore (Pd.arrive big j))
+    [
+      mk_job ~id:0 ~r:1.0 ~d:3.0 ~w:0x1.d6835e24deaebp+22 ();
+      mk_job ~id:1 ~r:1.0 ~d:4.0 ~w:0x1.840cb662c67c1p+35 ();
+      mk_job ~id:2 ~r:2.0 ~d:4.0 ~w:0x1.3187576c11899p+6 ();
+    ];
+  Alcotest.(check (list int)) "fallback bisections per arrival" [ 0; 0; 1 ]
+    (List.rev !per_job);
+  Alcotest.(check int) "bisection total" 1 (Pd.stats big).bisections;
   (* the reference path reports probes but no breakpoints, and without a
      clock the wall time stays at zero *)
   let refpd = Pd.create ~power:p2 ~machines:1 () in
@@ -598,9 +620,91 @@ let test_arrival_stats_observer () =
   match !last with
   | Some (s : Pd.arrival_stats) ->
     Alcotest.(check int) "reference breakpoints" 0 s.breakpoints;
+    Alcotest.(check int) "reference bisections" 0 s.bisections;
     Alcotest.(check bool) "reference probes counted" true (s.probes > 0);
     Alcotest.(check bool) "no clock, no wall" true (Float.equal s.wall_s 0.0)
   | None -> Alcotest.fail "observer not called on reference path"
+
+(* Bit pins on wide windows.  Each case digests every decision's
+   (accepted, lambda bits, planned-speed bits) of a bounded-memory PD run
+   over a preset stream, plus the cumulative work counters.  The
+   constants were recorded before the pricing path was made
+   allocation-free; any change to the breakpoint walk's float arithmetic
+   (summation order, breakpoint set, interpolation) moves the digest. *)
+let lambda_digest (inst : Instance.t) =
+  let pd = Pd.create ~gc:true ~power:inst.power ~machines:inst.machines () in
+  let b = Buffer.create (17 * Instance.n_jobs inst) in
+  let accepted = ref 0 in
+  Array.iter
+    (fun (j : Job.t) ->
+      let d = Pd.arrive pd j in
+      if d.accepted then incr accepted;
+      Buffer.add_char b (if d.accepted then 'A' else 'R');
+      Buffer.add_int64_le b (Int64.bits_of_float d.lambda);
+      Buffer.add_int64_le b (Int64.bits_of_float d.planned_speed))
+    inst.jobs;
+  let st = Pd.stats pd in
+  Printf.sprintf "accepted=%d probes=%d intervals=%d breakpoints=%d %s"
+    !accepted st.probes st.intervals st.breakpoints
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_lambda_bit_pins () =
+  let module G = Speedscale_workload.Generate in
+  let cases =
+    [
+      ( "diurnal m=8 seed 1",
+        G.diurnal ~power:p3 ~machines:8 ~seed:1 ~n:3000 (),
+        "accepted=2911 probes=262099 intervals=20912 breakpoints=290861 "
+        ^ "5a2fe80ca5443a827eb8c03995d11cd3" );
+      ( "diurnal m=8 seed 2",
+        G.diurnal ~power:p3 ~machines:8 ~seed:2 ~n:3000 (),
+        "accepted=2942 probes=259592 intervals=20545 breakpoints=288262 "
+        ^ "786b60a6525f66aac4f10a863eb76260" );
+      ( "datacenter m=2 seed 1",
+        G.datacenter ~power:p3 ~machines:2 ~seed:1 ~n:3000,
+        "accepted=1608 probes=38394 intervals=6956 breakpoints=13796 "
+        ^ "130ceae837f45e9720867d0eda58c087" );
+      ( "datacenter m=2 seed 2",
+        G.datacenter ~power:p3 ~machines:2 ~seed:2 ~n:3000,
+        "accepted=1588 probes=36309 intervals=6629 breakpoints=13476 "
+        ^ "f673ba1cce0a3327a092767677380fcf" );
+    ]
+  in
+  List.iter
+    (fun (name, inst, expected) ->
+      Alcotest.(check string) name expected (lambda_digest inst))
+    cases
+
+(* Allocation budget of the pricing path.  Minor words allocated per
+   [Pd.arrive] on a fixed diurnal m = 8 stream are a deterministic
+   function of the code, so a ceiling catches any change that puts a
+   boxed float, closure or per-interval array back on the hot path.  It
+   was 2053 words per arrival when recorded (OCaml 5.1, dune's default
+   profile) and 6506 before the pricing path stopped allocating; the
+   ceiling sits 20% above the recorded value.  What is left is named in
+   doc/PERF.md ("Allocation on the pricing path"). *)
+let alloc_ceiling = 2450.0
+
+let test_arrive_allocation_budget () =
+  let inst =
+    Speedscale_workload.Generate.diurnal ~power:p3 ~machines:8 ~seed:1
+      ~n:3000 ()
+  in
+  let pd = Pd.create ~gc:true ~power:inst.power ~machines:inst.machines () in
+  let words = ref 0.0 in
+  Array.iter
+    (fun (j : Job.t) ->
+      let w0 = Gc.minor_words () in
+      ignore (Pd.arrive pd j);
+      words := !words +. (Gc.minor_words () -. w0))
+    inst.jobs;
+  let per_arrival = !words /. float_of_int (Instance.n_jobs inst) in
+  Printf.printf "minor words per arrival: %.0f\n" per_arrival;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per arrival <= %.0f" per_arrival
+       alloc_ceiling)
+    true
+    (per_arrival <= alloc_ceiling)
 
 (* ------------------------------------------------------------------ *)
 (* Section 4 analysis machinery                                         *)
@@ -912,6 +1016,9 @@ let () =
             test_near_duplicate_boundary;
           Alcotest.test_case "stats observer" `Quick
             test_arrival_stats_observer;
+          Alcotest.test_case "lambda bit pins" `Quick test_lambda_bit_pins;
+          Alcotest.test_case "allocation budget" `Quick
+            test_arrive_allocation_budget;
           q prop_pd_paths_equivalent;
         ] );
       ( "gc",
