@@ -43,7 +43,6 @@ type env = {
 let project t = t.project
 let summary t gid = t.summaries.(gid)
 let converged t = t.converged
-let env_file env = env.file
 let env_node env = env.node
 let lookup env x = M.find_opt x env.vars
 

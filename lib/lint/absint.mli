@@ -18,8 +18,7 @@ type t
 (** A solved analysis: project + per-node summaries. *)
 
 val analyze : Project.t -> t
-(** Run the summary fixpoint.  With [cross_module:false] projects this
-    degenerates to per-file analysis — same API, no foreign facts. *)
+(** Run the summary fixpoint. *)
 
 val project : t -> Project.t
 
@@ -38,8 +37,6 @@ type env
 (** Evaluation environment at a program point: owning file + the
     abstract values of lexically-bound names (refined by dominating
     conditions). *)
-
-val env_file : env -> Project.file
 
 val env_node : env -> int
 (** Global id of the innermost binding whose right-hand side contains

@@ -31,9 +31,6 @@ let suffix_is e suffixes =
              (List.filteri (fun i _ -> i >= n - k) p))
       suffixes
 
-let head_module e =
-  match path e with Some (m :: _ :: _) -> Some m | _ -> None
-
 let float_const e =
   match (strip e).pexp_desc with
   | Pexp_constant (Pconst_float (s, _)) -> float_of_string_opt s

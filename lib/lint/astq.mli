@@ -13,9 +13,6 @@ val suffix_is : Parsetree.expression -> string list list -> bool
 (** Match the trailing components of a dotted path, so an alias prefix
     ([Speedscale.Power.alpha]) still matches [["Power"; "alpha"]]. *)
 
-val head_module : Parsetree.expression -> string option
-(** Leading module of a dotted identifier ([Printf.sprintf] -> [Printf]). *)
-
 val float_const : Parsetree.expression -> float option
 (** Value of a float literal, if the expression is one. *)
 

@@ -31,7 +31,7 @@ let exported_of_mli ~rel text =
   | exception Syntaxerr.Error _ -> None
   | exception Lexer.Error _ -> None
 
-let check_sources ?(cross_module = true) ~rules (sources : source list) =
+let check_sources ~rules (sources : source list) =
   let parse_errors = ref [] in
   let parsed =
     List.map
@@ -55,41 +55,30 @@ let check_sources ?(cross_module = true) ~rules (sources : source list) =
         (s, str))
       sources
   in
-  (* The whole-program view covers the library tree: every lib/ file that
-     parsed joins the project, whatever rules are selected. *)
+  (* The whole-program view covers every file that parsed, whatever
+     rules are selected. *)
   let project_inputs =
     List.filter_map
       (fun (s, str) ->
-        match str with
-        | Some str when Rule.lib_only s.rel ->
-          Some
+        Option.map
+          (fun str ->
             {
               Project.rel = s.rel;
               str;
               exported =
                 Option.bind s.mli (fun text ->
                     exported_of_mli ~rel:(s.rel ^ "i") text);
-            }
-        | _ -> None)
+            })
+          str)
       parsed
   in
-  let any_project =
-    List.exists (fun (r : Rule.t) -> r.check_project <> None) rules
-  in
-  let analysis =
-    if any_project && project_inputs <> [] then
-      Some (Absint.analyze (Project.build ~cross_module project_inputs))
-    else None
-  in
-  let in_project rel =
-    match analysis with
-    | None -> false
-    | Some a -> Project.file_of_rel (Absint.project a) rel <> None
-  in
   let project_findings =
-    match analysis with
-    | None -> []
-    | Some a ->
+    if
+      project_inputs = []
+      || not (List.exists (fun (r : Rule.t) -> r.check_project <> None) rules)
+    then []
+    else
+      let a = Absint.analyze (Project.build project_inputs) in
       List.concat_map
         (fun (r : Rule.t) ->
           match r.check_project with
@@ -111,12 +100,8 @@ let check_sources ?(cross_module = true) ~rules (sources : source list) =
           List.concat_map
             (fun (r : Rule.t) ->
               match r.check_structure with
-              | Some check
-                when not
-                       (r.project_replaces && r.check_project <> None
-                      && in_project s.rel) ->
-                check ctx str
-              | _ -> [])
+              | Some check -> check ctx str
+              | None -> [])
             applicable)
         @ List.concat_map
             (fun (r : Rule.t) ->
@@ -136,19 +121,20 @@ let check_sources ?(cross_module = true) ~rules (sources : source list) =
       Hashtbl.replace by_file f.file
         (f :: (Option.value ~default:[] (Hashtbl.find_opt by_file f.file))))
     all;
+  let ran rule = Rule.find ~name:rule rules <> None in
   List.concat_map
     (fun ((s : source), _) ->
       let fs =
         List.rev (Option.value ~default:[] (Hashtbl.find_opt by_file s.rel))
       in
-      let sup = Suppress.parse ~file:s.rel s.text in
+      let sup = Suppress.parse ~known:Registry.names ~file:s.rel s.text in
       let kept = List.filter (fun f -> not (Suppress.suppressed sup f)) fs in
-      kept @ Suppress.malformed sup @ Suppress.unused sup ~file:s.rel)
+      kept @ Suppress.malformed sup @ Suppress.unused sup ~ran ~file:s.rel)
     parsed
   |> List.sort Finding.compare
 
-let check_source ?(has_mli = true) ?(cross_module = true) ~rules ~rel text =
-  check_sources ~cross_module ~rules
+let check_source ?(has_mli = true) ~rules ~rel text =
+  check_sources ~rules
     [ { rel; text; mli = (if has_mli then Some "" else None) } ]
 
 let skip_dir name =

@@ -10,24 +10,16 @@ type source = { rel : string; text : string; mli : string option }
 (** One implementation to lint: path relative to the scan root, its
     text, and the text of its interface when one exists. *)
 
-val check_sources :
-  ?cross_module:bool -> rules:Rule.t list -> source list -> Finding.t list
-(** Lint a set of files together.  Files under [lib/] that parse form
-    the {!Project} over which [check_project] rules run (with
-    [cross_module] controlling foreign resolution — [false] exists for
-    tests that demonstrate a finding depends on it); a rule with
-    [project_replaces] has its per-file check skipped for those files.
-    Suppression directives are applied per file across {e all} findings
-    — per-file and project alike — and malformed or unused directives
-    are reported as usual. *)
+val check_sources : rules:Rule.t list -> source list -> Finding.t list
+(** Lint a set of files together.  Every file that parses joins the
+    {!Project} over which [check_project] rules run.  Suppression
+    directives are applied per file across {e all} findings — per-file
+    and project alike — and malformed directives, directives naming an
+    unknown rule, and unused directives for the selected [rules] are
+    reported as errors. *)
 
 val check_source :
-  ?has_mli:bool ->
-  ?cross_module:bool ->
-  rules:Rule.t list ->
-  rel:string ->
-  string ->
-  Finding.t list
+  ?has_mli:bool -> rules:Rule.t list -> rel:string -> string -> Finding.t list
 (** Single-file convenience over {!check_sources} (a one-file project).
     [has_mli] (default [true]) feeds the file-level rules; the synthetic
     interface exports nothing, which only matters cross-module. *)

@@ -11,11 +11,7 @@
    not resolve lexically.  A [.mli] restricts what other modules can
    see: only values it declares are resolution targets.  Two files
    claiming the same module name make that name ambiguous and it stops
-   resolving — a linter must not guess between homonyms.
-
-   The [cross_module] switch exists for exactly one reason: letting
-   tests (and the acceptance fixture) demonstrate that a finding
-   appears or disappears *because of* cross-module reasoning. *)
+   resolving — a linter must not guess between homonyms. *)
 
 open Parsetree
 
@@ -42,14 +38,12 @@ type t = {
   by_module : (string, int) Hashtbl.t;  (* -1 marks an ambiguous name *)
   node_file : int array;  (* global node id -> owning file index *)
   calls : int list array;  (* global call graph, global ids *)
-  cross_module : bool;
 }
 
 let module_name_of_rel rel =
   String.capitalize_ascii
     (Filename.remove_extension (Filename.basename rel))
 
-let cross_module t = t.cross_module
 let files t = t.files
 let n_nodes t = Array.length t.node_file
 let owner t gid = t.files.(t.node_file.(gid))
@@ -60,11 +54,6 @@ let local t gid =
 
 let global f (nd : Callgraph.node) = f.base + nd.id
 let calls t gid = t.calls.(gid)
-
-let file_of_rel t rel =
-  Array.fold_left
-    (fun acc f -> if String.equal f.rel rel then Some f else acc)
-    None t.files
 
 let exports f name =
   match f.exported with None -> true | Some h -> Hashtbl.mem h name
@@ -97,31 +86,27 @@ let expand_alias src name =
   go 8 name
 
 let resolve_qualified t src ~mpath ~name =
-  if not t.cross_module then None
-  else
-    match List.rev mpath with
-    | [] -> None
-    | last :: _ -> (
-      match lookup_module t (expand_alias src last) with
-      | Some f -> toplevel_value f name
-      | None -> None)
+  match List.rev mpath with
+  | [] -> None
+  | last :: _ -> (
+    match lookup_module t (expand_alias src last) with
+    | Some f -> toplevel_value f name
+    | None -> None)
 
 (* A bare name that did not resolve lexically: try the file's toplevel
    opens, in source order (first open that exports the name wins, which
    over-approximates OCaml's last-open-wins but only matters when two
    opened modules export the same name). *)
 let resolve_open t src ~name =
-  if not t.cross_module then None
-  else
-    List.fold_left
-      (fun acc m ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-          match lookup_module t m with
-          | Some f when f.idx <> src.idx -> toplevel_value f name
-          | _ -> None))
-      None src.opens
+  List.fold_left
+    (fun acc m ->
+      match acc with
+      | Some _ -> acc
+      | None -> (
+        match lookup_module t m with
+        | Some f when f.idx <> src.idx -> toplevel_value f name
+        | _ -> None))
+    None src.opens
 
 let resolve_path t src parts =
   match List.rev parts with
@@ -155,7 +140,7 @@ let opens_and_aliases str =
     str;
   (List.rev !opens, !aliases)
 
-let build ?(cross_module = true) (inputs : input list) : t =
+let build (inputs : input list) : t =
   (* Pass 1: per-file call graphs, collecting unresolved references as
      cross-module edge candidates. *)
   let pending = ref [] (* (file idx, local node, path parts) *) in
@@ -224,7 +209,7 @@ let build ?(cross_module = true) (inputs : input list) : t =
         node_file.(f.base + i) <- f.idx
       done)
     files;
-  let t = { files; by_module; node_file; calls = Array.make n []; cross_module } in
+  let t = { files; by_module; node_file; calls = Array.make n [] } in
   (* Pass 2: lift per-file edges, then resolve the pending candidates. *)
   Array.iter
     (fun f ->
@@ -233,17 +218,15 @@ let build ?(cross_module = true) (inputs : input list) : t =
           List.map (fun j -> f.base + j) (Callgraph.calls f.cg i)
       done)
     files;
-  if cross_module then begin
-    let add gid callee =
-      if not (List.mem callee t.calls.(gid)) then
-        t.calls.(gid) <- t.calls.(gid) @ [ callee ]
-    in
-    List.iter
-      (fun (idx, node, parts) ->
-        let src = files.(idx) in
-        match resolve_path t src parts with
-        | Some callee -> add (src.base + node) callee
-        | None -> ())
-      (List.rev !pending)
-  end;
+  let add gid callee =
+    if not (List.mem callee t.calls.(gid)) then
+      t.calls.(gid) <- t.calls.(gid) @ [ callee ]
+  in
+  List.iter
+    (fun (idx, node, parts) ->
+      let src = files.(idx) in
+      match resolve_path t src parts with
+      | Some callee -> add (src.base + node) callee
+      | None -> ())
+    (List.rev !pending);
   t

@@ -34,15 +34,8 @@ type file = {
 
 type t
 
-val build : ?cross_module:bool -> input list -> t
-(** [cross_module:false] degrades the project to a bag of per-file
-    graphs: no qualified resolution, no cross-module edges.  Exists so
-    tests can show a finding is {e caused} by whole-program reasoning. *)
-
-val cross_module : t -> bool
+val build : input list -> t
 val files : t -> file array
-val file_of_rel : t -> string -> file option
-val module_name_of_rel : string -> string
 
 val n_nodes : t -> int
 (** Total nodes across all files; global ids are [0 .. n_nodes - 1]. *)
@@ -65,7 +58,7 @@ val toplevel_value : file -> string -> int option
 val resolve_qualified : t -> file -> mpath:string list -> name:string -> int option
 (** Resolve [M1.(...).Mk.name] seen in [file]: alias-expand the last
     module component, look the module up, take its visible toplevel
-    binding.  [None] when [cross_module] is off. *)
+    binding. *)
 
 val resolve_open : t -> file -> name:string -> int option
 (** Resolve a lexically-unresolved bare name through the file's toplevel

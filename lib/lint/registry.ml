@@ -2,7 +2,6 @@ let all =
   [
     Rule_float_eq.rule;
     Rule_naive_sum.rule;
-    Rule_nondeterminism.rule;
     Rule_printf_in_lib.rule;
     Rule_missing_mli.rule;
     Rule_catch_all_exn.rule;

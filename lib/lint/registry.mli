@@ -1,4 +1,4 @@
-(** The eight project rules, in reporting order. *)
+(** The project rules, in reporting order. *)
 
 val all : Rule.t list
 val names : string list

@@ -9,11 +9,6 @@ type t = {
   check_structure : (ctx -> Parsetree.structure -> Finding.t list) option;
   check_source : (ctx -> has_mli:bool -> Finding.t list) option;
   check_project : (Absint.t -> Finding.t list) option;
-  project_replaces : bool;
-      (* when true, [check_structure] is skipped for files the
-         whole-program analysis covers: the project check subsumes it,
-         and running both would keep per-file findings the cross-module
-         facts disprove *)
 }
 
 let everywhere _ = true
@@ -26,7 +21,7 @@ let under dir rel =
 let lib_only = under "lib"
 
 let make ?(applies = everywhere) ?check_structure ?check_source ?check_project
-    ?(project_replaces = false) ?(example = "") ~doc ~severity name =
+    ?(example = "") ~doc ~severity name =
   {
     name;
     doc;
@@ -36,7 +31,6 @@ let make ?(applies = everywhere) ?check_structure ?check_source ?check_project
     check_structure;
     check_source;
     check_project;
-    project_replaces;
   }
 
 let find ~name rules = List.find_opt (fun r -> String.equal r.name name) rules

@@ -22,10 +22,6 @@ type t = {
   check_structure : (ctx -> Parsetree.structure -> Finding.t list) option;
   check_source : (ctx -> has_mli:bool -> Finding.t list) option;
   check_project : (Absint.t -> Finding.t list) option;
-  project_replaces : bool;
-      (** skip [check_structure] for files the project analysis covers:
-          the project check subsumes it, and running both would keep
-          per-file findings that cross-module facts disprove *)
 }
 
 val everywhere : string -> bool
@@ -42,7 +38,6 @@ val make :
   ?check_structure:(ctx -> Parsetree.structure -> Finding.t list) ->
   ?check_source:(ctx -> has_mli:bool -> Finding.t list) ->
   ?check_project:(Absint.t -> Finding.t list) ->
-  ?project_replaces:bool ->
   ?example:string ->
   doc:string -> severity:Finding.severity -> string -> t
 

@@ -1,7 +1,10 @@
-(* Interprocedural nondeterminism taint into obs record payloads.
+(* Nondeterminism: global-Random call sites, and interprocedural taint
+   into obs record payloads.
 
-   The syntactic [nondeterminism] rule flags global-Random call sites; this
-   rule follows nondeterministic *values* through local calls.  Sources are
+   Every use of the global Random API is reported where it appears:
+   experiments must be replayable, so randomness goes through a seeded
+   Random.State (Util.Rand).  Beyond that, the rule follows
+   nondeterministic *values* through local calls.  Sources are
    the global Random API, wall clocks (Sys.time, Unix.gettimeofday),
    unordered Hashtbl iteration (iter/fold), and Filename.temp_file.  A
    function summary — "calling this can yield a source-dependent value" —
@@ -20,9 +23,11 @@ module M = Map.Make (String)
 let name = "taint-nondet"
 
 let doc =
-  "a value derived from a nondeterminism source (global Random, Sys.time, \
-   Unix.gettimeofday, Hashtbl.iter/fold, Filename.temp_file) flows — \
-   possibly through local calls — into an obs record payload \
+  "global Random state breaks run-to-run reproducibility (thread a seeded \
+   Random.State through Util.Rand instead, DESIGN.md section 5); and a \
+   value derived from a nondeterminism source (global Random, Sys.time, \
+   Unix.gettimeofday, Hashtbl.iter/fold, Filename.temp_file) must not flow \
+   — possibly through local calls — into an obs record payload \
    (Record.make / metric / counter / verdict); payloads must be \
    reproducible, timings belong in the timing field (doc/LINTING.md \
    \"Dataflow rules\")"
@@ -33,15 +38,21 @@ let other_sources =
     [ "Hashtbl"; "fold" ]; [ "Filename"; "temp_file" ];
   ]
 
+(* [Random.f] on the ambient global generator; the seeded
+   [Random.State.*] API is deterministic and does not match. *)
+let global_random p =
+  match List.rev p with
+  | f :: "Random" :: _ when not (String.equal f "State") -> Some ("Random." ^ f)
+  | _ -> None
+
 (* The pretty name of the source an identifier expression denotes. *)
 let source_of e =
   match Astq.path e with
   | None -> None
   | Some p -> (
-    match List.rev p with
-    | f :: "Random" :: _ when not (String.equal f "State") ->
-      Some ("Random." ^ f)
-    | _ ->
+    match global_random p with
+    | Some _ as s -> s
+    | None ->
       if Astq.suffix_is e other_sources then Some (String.concat "." p)
       else None)
 
@@ -161,13 +172,28 @@ let check _ctx str =
   let bind_pat taint_on pat map =
     List.fold_left (fun m x -> M.add x taint_on m) map (Astq.pat_vars pat)
   in
-  (* Peel a literal fun chain: parameter patterns plus the innermost body. *)
-  let rec peel_fun e pats =
+  (* Peel a literal fun chain: parameter patterns plus the innermost body.
+     Optional-argument defaults are visited as they are peeled. *)
+  let rec peel_fun it e pats =
     match (Astq.strip e).pexp_desc with
-    | Pexp_fun (_, _, pat, body) -> peel_fun body (pat :: pats)
+    | Pexp_fun (_, default, pat, body) ->
+      Option.iter (it.Ast_iterator.expr it) default;
+      peel_fun it body (pat :: pats)
     | _ -> (List.rev pats, e)
   in
   let expr it e =
+    (match Option.bind (Astq.path e) global_random with
+    | Some s ->
+      acc :=
+        Finding.of_location ~rule:name ~severity:Finding.Error
+          ~message:
+            (Fmt.str
+               "%s uses the ambient global state; thread a seeded \
+                Random.State through Util.Rand instead"
+               s)
+          e.pexp_loc
+        :: !acc
+    | None -> ());
     (match Astq.apply_parts e with
     | Some (f, args) when Astq.suffix_is f sink_suffixes -> (
       match List.find_map why_tainted args with
@@ -231,7 +257,7 @@ let check _ctx str =
       List.iter
         (fun a ->
           if is_fun_literal a then begin
-            let pats, body = peel_fun a [] in
+            let pats, body = peel_fun it a [] in
             let set =
               List.fold_left
                 (fun s p -> bind_pat tainted_sibling p s)
@@ -248,7 +274,10 @@ let check _ctx str =
   List.rev !acc
 
 let example =
-  "let noise () = Unix.gettimeofday ()\n\
+  "let jitter () = Random.float 1.0\n\
+   (* fires: ambient-state randomness; thread a seeded Random.State.t \
+   through the caller instead *)\n\
+   let noise () = Unix.gettimeofday ()\n\
    let sample () = Record.make ~value:(noise ()) ...\n\
    (* fires at the Record.make argument: wall-clock nondeterminism \
    reaches a benchmark payload through the call graph *)"

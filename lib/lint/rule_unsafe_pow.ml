@@ -1,5 +1,3 @@
-open Parsetree
-
 let name = "unsafe-pow"
 
 let doc =
@@ -10,44 +8,6 @@ let doc =
 
 let pow_paths = [ [ "**" ]; [ "Float"; "pow" ]; [ "Stdlib"; "**" ] ]
 
-module S = Set.Make (String)
-
-(* Expressions whose result is non-negative whatever the inputs, plus
-   project producers whose range is known positive by construction
-   (Power.make enforces alpha > 1, so the alpha-derived getters qualify). *)
-let nonneg_fun_paths =
-  [
-    [ "Float"; "abs" ]; [ "abs_float" ]; [ "sqrt" ]; [ "exp" ];
-    [ "Float"; "exp" ]; [ "Float"; "sqrt" ]; [ "Power"; "alpha" ];
-    [ "Power"; "competitive_bound" ]; [ "Power"; "delta_star" ];
-    [ "Power"; "rejection_speed_factor" ]; [ "Power"; "cll_bound" ];
-  ]
-
-let nonneg_product_ops = [ "*."; "/."; "+." ]
-
-let rec nonneg env e =
-  let e = Astq.strip e in
-  match Astq.float_const e with
-  | Some v -> v >= 0.0
-  | None -> (
-    match Astq.path e with
-    | Some [ x ] ->
-      S.mem x env
-      || List.mem x [ "infinity"; "max_float"; "min_float"; "epsilon_float" ]
-    | Some [ "Float"; ("pi" | "infinity" | "epsilon" | "max_float" | "min_float") ]
-      ->
-      true
-    | _ -> (
-      match Astq.apply_parts e with
-      | Some (f, args) -> (
-        Astq.suffix_is f nonneg_fun_paths
-        ||
-        match Astq.path f with
-        | Some [ op ] when List.mem op nonneg_product_ops ->
-          List.for_all (nonneg env) args
-        | _ -> false)
-      | None -> false))
-
 (* An exponent that cannot produce NaN even for a negative base. *)
 let integral_exponent e =
   match Astq.float_const (Astq.strip e) with
@@ -57,191 +17,36 @@ let integral_exponent e =
     | Some (f, [ _ ]) -> Astq.path_is f [ [ "float_of_int" ]; [ "Float"; "of_int" ] ]
     | _ -> false)
 
-(* Sign facts a condition establishes about simple variables: names known
-   non-negative when the condition is true, resp. false. *)
-let rec facts cond : S.t * S.t =
-  let cond = Astq.strip cond in
-  let const e =
-    match Astq.float_const e with
-    | Some v -> Some v
-    | None -> (
-      match (Astq.strip e).pexp_desc with
-      | Pexp_constant (Pconst_integer (s, _)) -> float_of_string_opt s
-      | _ -> None)
-  in
-  let var e = match Astq.path e with Some [ x ] -> Some x | _ -> None in
-  match Astq.apply_parts cond with
-  | Some (f, [ a; b ]) -> (
-    let comparison op x c =
-      (* [x op c] with c a non-negative constant *)
-      if c < 0.0 then (S.empty, S.empty)
-      else
-        match op with
-        | "<" | "<=" -> (S.empty, S.singleton x)  (* false: x >= c >= 0 *)
-        | ">" | ">=" -> (S.singleton x, S.empty)  (* true: x >= c >= 0 *)
-        | _ -> (S.empty, S.empty)
-    in
-    let flip = function
-      | "<" -> ">" | "<=" -> ">=" | ">" -> "<" | ">=" -> "<=" | op -> op
-    in
-    match Astq.path f with
-    | Some [ (("<" | "<=" | ">" | ">=") as op) ] -> (
-      match (var a, const b, const a, var b) with
-      | Some x, Some c, _, _ -> comparison op x c
-      | _, _, Some c, Some x -> comparison (flip op) x c
-      | _ -> (S.empty, S.empty))
-    | Some [ "||" ] ->
-      let _, fa = facts a and _, fb = facts b in
-      (S.empty, S.union fa fb)
-    | Some [ "&&" ] ->
-      let ta, _ = facts a and tb, _ = facts b in
-      (S.union ta tb, S.empty)
-    | _ -> (S.empty, S.empty))
-  | Some (f, [ a ]) when Astq.path_is f [ [ "not" ] ] ->
-    let t, fs = facts a in
-    (fs, t)
-  | _ -> (S.empty, S.empty)
-
-let raising_paths =
-  [
-    [ "invalid_arg" ]; [ "failwith" ]; [ "raise" ]; [ "raise_notrace" ];
-    [ "Stdlib"; "invalid_arg" ]; [ "Stdlib"; "failwith" ];
-    [ "Stdlib"; "raise" ];
-  ]
-
-let rec always_raises e =
-  match (Astq.strip e).pexp_desc with
-  | Pexp_let (_, _, body) | Pexp_sequence (_, body) -> always_raises body
-  | Pexp_assert
-      { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None);
-        _ } ->
-    true
-  | _ -> (
-    match Astq.apply_parts e with
-    | Some (f, _) -> Astq.path_is f raising_paths
-    | None -> false)
-
-let check _ctx str =
-  let acc = ref [] in
-  let env = ref S.empty in
-  let scoped it names body =
-    let saved = !env in
-    env := names;
-    it.Ast_iterator.expr it body;
-    env := saved
-  in
-  let remove_bound pat env = S.diff env (S.of_list (Astq.pat_vars pat)) in
-  let expr it e =
-    (match Astq.apply_parts e with
-     | Some (f, [ base; expo ])
-       when Astq.path_is f pow_paths
-            && not (nonneg !env base || integral_exponent expo) ->
-       acc :=
-         Finding.of_location ~rule:name ~severity:Finding.Error ~message:doc
-           e.pexp_loc
-         :: !acc
-     | _ -> ());
-    match e.pexp_desc with
-    | Pexp_ifthenelse (c, then_, else_) ->
-      it.Ast_iterator.expr it c;
-      let when_true, when_false = facts c in
-      scoped it (S.union !env when_true) then_;
-      Option.iter (fun e2 -> scoped it (S.union !env when_false) e2) else_
-    | Pexp_sequence (({ pexp_desc = Pexp_ifthenelse (c, then_, else_); _ } as e1), e2)
-      when always_raises then_ && Option.is_none else_ ->
-      (* [if bad then invalid_arg ...; rest]: the negation of the guard
-         holds in [rest]. *)
-      it.Ast_iterator.expr it e1;
-      let _, when_false = facts c in
-      scoped it (S.union !env when_false) e2
-    | Pexp_let (rf, bindings, body) ->
-      List.iter (fun vb -> it.Ast_iterator.value_binding it vb) bindings;
-      let bound =
-        List.fold_left (fun s vb -> remove_bound vb.pvb_pat s) !env bindings
-      in
-      (* a non-recursive [let x = e] with e known non-negative extends the
-         environment for the body *)
-      let bound =
-        match rf with
-        | Asttypes.Recursive -> bound
-        | Asttypes.Nonrecursive ->
-          List.fold_left
-            (fun s vb ->
-              match vb.pvb_pat.ppat_desc with
-              | Ppat_var { txt; _ } when nonneg !env vb.pvb_expr -> S.add txt s
-              | _ -> s)
-            bound bindings
-      in
-      scoped it bound body
-    | Pexp_fun (_, default, pat, body) ->
-      Option.iter (fun d -> it.Ast_iterator.expr it d) default;
-      it.Ast_iterator.pat it pat;
-      scoped it (remove_bound pat !env) body
-    | Pexp_for (pat, start, stop, _, body) ->
-      it.Ast_iterator.expr it start;
-      it.Ast_iterator.expr it stop;
-      scoped it (remove_bound pat !env) body
-    | Pexp_function cases | Pexp_match (_, cases) | Pexp_try (_, cases) ->
-      (match e.pexp_desc with
-       | Pexp_match (scrut, _) | Pexp_try (scrut, _) ->
-         it.Ast_iterator.expr it scrut
-       | _ -> ());
-      List.iter
-        (fun (c : case) ->
-          it.Ast_iterator.pat it c.pc_lhs;
-          let inner = remove_bound c.pc_lhs !env in
-          Option.iter (fun g -> scoped it inner g) c.pc_guard;
-          scoped it inner c.pc_rhs)
-        cases
-    | _ -> Ast_iterator.default_iterator.expr it e
-  in
-  let it = { Ast_iterator.default_iterator with expr } in
-  it.structure it str;
-  List.rev !acc
-
-(* Whole-program version: the same firing condition, but non-negativity
-   of the base is established by the abstract interpreter — guards and
-   lets as before, plus interval facts that flow through let bindings,
-   local functions and cross-module calls ({!Absint}).  The legacy
-   syntactic prover above is strictly subsumed: literals and trusted
-   producers are interpreter axioms, guard refinement is
-   comparison-as-refinement, and the nonneg-product closure is interval
-   multiplication.  When the summary fixpoint did not converge, proofs
-   of safety are inconclusive and the legacy per-file reasoning is used
-   instead — a finding may never silently vanish behind an exhausted
-   iteration bound. *)
+(* The base is proved non-negative by the abstract interpreter: guards
+   and lets, interval facts that flow through local functions and
+   cross-module calls, and the [Power] axioms ({!Absint}).  When the
+   summary fixpoint did not converge no base counts as proved — a
+   finding may never silently vanish behind an exhausted iteration
+   bound. *)
 let check_project (a : Absint.t) =
-  let files = Project.files (Absint.project a) in
-  if not (Absint.converged a) then
-    Array.to_list files
-    |> List.concat_map (fun (f : Project.file) ->
-           check { Rule.rel = f.rel } f.str)
-  else begin
-    let acc = ref [] in
-    Array.iter
-      (fun (file : Project.file) ->
-        Absint.iter_file a file (fun env e ->
-            match Astq.apply_parts e with
-            | Some (f, [ base; expo ])
-              when Astq.path_is f pow_paths
-                   && not
-                        (integral_exponent expo
-                        || Absdom.nonneg (Absint.eval env base)) ->
-              acc :=
-                Finding.of_location ~rule:name ~severity:Finding.Error
-                  ~message:doc e.pexp_loc
-                :: !acc
-            | _ -> ()))
-      files;
-    List.rev !acc
-  end
+  let acc = ref [] in
+  Array.iter
+    (fun (file : Project.file) ->
+      Absint.iter_file a file (fun env e ->
+          match Astq.apply_parts e with
+          | Some (f, [ base; expo ])
+            when Astq.path_is f pow_paths
+                 && not
+                      (integral_exponent expo
+                      || Absint.converged a
+                         && Absdom.nonneg (Absint.eval env base)) ->
+            acc :=
+              Finding.of_location ~rule:name ~severity:Finding.Error
+                ~message:doc e.pexp_loc
+              :: !acc
+          | _ -> ()))
+    (Project.files (Absint.project a));
+  List.rev !acc
 
 let example =
   "let energy s alpha = s ** alpha\n\
    (* fires: nothing proves s non-negative.  Quiet when an if/guard, a \
-   non-negative producer (sqrt, Float.abs, Power.alpha), or — \
-   whole-program — a summary from another module bounds s below by 0. *)"
+   non-negative producer (sqrt, Float.abs, Power.alpha), or a summary \
+   from another module bounds s below by 0. *)"
 
-let rule =
-  Rule.make ~doc ~severity:Finding.Error ~check_structure:check ~check_project
-    ~project_replaces:true ~example name
+let rule = Rule.make ~doc ~severity:Finding.Error ~check_project ~example name

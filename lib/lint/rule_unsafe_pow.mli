@@ -1,8 +1,8 @@
-(** Flags [( ** )] applications whose base is not syntactically
-    guaranteed non-negative and whose exponent is not an integral
-    literal.  A small flow analysis tracks variables proven non-negative
-    by dominating conditionals ([if s < 0.0 then invalid_arg ...; ...]),
-    by [let] bindings of non-negative expressions, and by project
-    producers with a positive range ([Power.alpha] et al.). *)
+(** Flags [( ** )] applications whose base the whole-program abstract
+    interpreter ({!Absint}) cannot prove non-negative and whose exponent
+    is not integral.  Dominating conditionals ([if s < 0.0 then
+    invalid_arg ...; ...]), [let] bindings, producers with a positive
+    range ([Power.alpha] et al.) and summaries of functions in other
+    modules all count as proofs. *)
 
 val rule : Rule.t

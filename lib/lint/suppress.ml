@@ -54,7 +54,7 @@ let directive_only line idx =
   | None -> false
   | Some c -> is_blank (String.sub before 0 c)
 
-let parse ~file text =
+let parse ~known ~file text =
   let lines = Array.of_list (String.split_on_char '\n' text) in
   let n = Array.length lines in
   let directive_lines = Hashtbl.create 8 in
@@ -71,17 +71,23 @@ let parse ~file text =
         raw := (i + 1, directive_only line idx, parse_directive rest) :: !raw)
     lines;
   let directives = ref [] and malformed = ref [] in
+  let bad lineno message =
+    malformed :=
+      Finding.v ~line:lineno ~file ~rule:"suppress-syntax"
+        ~severity:Finding.Error message
+      :: !malformed
+  in
   List.iter
     (fun (lineno, own_line, parsed) ->
       match parsed with
       | None | Some (_, false) ->
-        malformed :=
-          Finding.v ~line:lineno ~file ~rule:"suppress-syntax"
-            ~severity:Finding.Error
-            (Fmt.str
-               "malformed suppression; expected (* %s <rule> -- <reason> *)"
-               marker)
-          :: !malformed
+        bad lineno
+          (Fmt.str "malformed suppression; expected (* %s <rule> -- <reason> *)"
+             marker)
+      | Some (rule, true) when not (List.mem rule known) ->
+        bad lineno
+          (Fmt.str "suppression names unknown rule %s (known: %s)" rule
+             (String.concat ", " known))
       | Some (rule, true) ->
         let governs =
           if not own_line then lineno
@@ -114,13 +120,13 @@ let suppressed t (f : Finding.t) =
     d.used <- true;
     true
 
-let unused t ~file =
+let unused t ~ran ~file =
   List.filter_map
     (fun d ->
-      if d.used then None
+      if d.used || not (ran d.rule) then None
       else
         Some
           (Finding.v ~line:d.line ~file ~rule:"unused-suppression"
-             ~severity:Finding.Warning
+             ~severity:Finding.Error
              (Fmt.str "suppression for rule %s matches no finding" d.rule)))
     t.directives

@@ -12,16 +12,18 @@
 
 type t
 
-val parse : file:string -> string -> t
-(** Scan source text for directives. *)
+val parse : known:string list -> file:string -> string -> t
+(** Scan source text for directives naming one of the [known] rules. *)
 
 val malformed : t -> Finding.t list
-(** Directives missing a rule name or a reason, reported as
-    [suppress-syntax] errors. *)
+(** Directives missing a rule name or a reason, or naming a rule outside
+    [known], reported as [suppress-syntax] errors. *)
 
 val suppressed : t -> Finding.t -> bool
 (** Whether a finding is governed by a directive (marks it used). *)
 
-val unused : t -> file:string -> Finding.t list
-(** [unused-suppression] warnings for directives that matched nothing;
-    call after filtering all findings of the file. *)
+val unused : t -> ran:(string -> bool) -> file:string -> Finding.t list
+(** [unused-suppression] errors for directives that matched nothing,
+    restricted to rules for which [ran] holds (a directive for a rule
+    outside the scan cannot have matched); call after filtering all
+    findings of the file. *)

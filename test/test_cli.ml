@@ -501,7 +501,7 @@ let test_slint_exit_codes () =
       Alcotest.(check bool)
         "names the rule" true
         (contains text "domain-race"));
-  let code, text = run_slint [ "--rule"; "no-such-rule"; "--root"; "." ] in
+  let code, text = run_slint [ "--rules"; "no-such-rule"; "--root"; "." ] in
   Alcotest.(check int) "unknown rule exits 2" 2 code;
   Alcotest.(check bool) "lists known rules" true (contains text "domain-race");
   let code, text = run_slint [ "--help" ] in
@@ -511,9 +511,9 @@ let test_slint_exit_codes () =
 let test_slint_rule_filter () =
   with_lint_tree racy_source (fun root ->
       (* an unrelated single rule does not see the race *)
-      let code, _ = run_slint [ "--root"; root; "--rule"; "float-eq" ] in
+      let code, _ = run_slint [ "--root"; root; "--rules"; "float-eq" ] in
       Alcotest.(check int) "filtered rule exits 0" 0 code;
-      let code, text = run_slint [ "--root"; root; "--rule"; "domain-race" ] in
+      let code, text = run_slint [ "--root"; root; "--rules"; "domain-race" ] in
       Alcotest.(check int) "selected rule exits 1" 1 code;
       Alcotest.(check bool) "reports the race" true (contains text "domain-race"))
 
@@ -536,43 +536,33 @@ let test_slint_sarif () =
             "physical location present" true
             (contains text "lib/fixture.ml")))
 
-let test_slint_write_baseline () =
-  with_lint_tree racy_source (fun root ->
-      let code, _ = run_slint [ "--root"; root; "--write-baseline" ] in
-      Alcotest.(check int) "write exits 0" 0 code;
-      let baseline = Filename.concat root "lint-baseline.sexp" in
-      Alcotest.(check bool)
-        "baseline written" true
-        (contains (read_file baseline) "domain-race");
-      (* the grandfathered finding no longer fails the scan *)
-      let code, _ = run_slint [ "--root"; root ] in
-      Alcotest.(check int) "baselined tree exits 0" 0 code)
+(* Directive text assembled by concatenation so slint does not read this
+   file as holding directives when scanning the tree. *)
+let allow rule = "(* slint: " ^ "allow " ^ rule ^ " -- fixture reason *)"
 
-let test_slint_baseline_rot () =
-  with_lint_tree racy_source (fun root ->
-      let code, _ = run_slint [ "--root"; root; "--write-baseline" ] in
-      Alcotest.(check int) "write exits 0" 0 code;
-      (* the finding disappears from the source: its entry is now rot,
-         and rot is a failure, not a silent free pass *)
-      write_file (Filename.concat root "lib/fixture.ml") clean_source;
+let test_slint_directives () =
+  (* a matched directive for a rule outside --rules is not reported *)
+  with_lint_tree (allow "domain-race" ^ "\n" ^ racy_source) (fun root ->
+      let code, text = run_slint [ "--root"; root; "--rules"; "float-eq" ] in
+      Alcotest.(check int) "other rule's directive exits 0" 0 code;
+      Alcotest.(check bool)
+        "not reported unused" false
+        (contains text "unused-suppression"));
+  (* a dead directive is an error *)
+  with_lint_tree ("let f x = x + 1  " ^ allow "float-eq" ^ "\n") (fun root ->
       let code, text = run_slint [ "--root"; root ] in
-      Alcotest.(check int) "stale entry exits 1" 1 code;
+      Alcotest.(check int) "dead directive exits 1" 1 code;
       Alcotest.(check bool)
-        "explains the staleness" true
-        (contains text "stale baseline entry");
+        "reports it unused" true
+        (contains text "unused-suppression"));
+  (* a directive naming no rule is a syntax error *)
+  with_lint_tree ("let f x = x + 1  " ^ allow "no-such-rule" ^ "\n")
+    (fun root ->
+      let code, text = run_slint [ "--root"; root ] in
+      Alcotest.(check int) "unknown rule directive exits 1" 1 code;
       Alcotest.(check bool)
-        "points at the cure" true
-        (contains text "--update-baseline");
-      (* --update-baseline prunes exactly the rotten entries *)
-      let code, text = run_slint [ "--root"; root; "--update-baseline" ] in
-      Alcotest.(check int) "prune exits 0" 0 code;
-      Alcotest.(check bool) "reports the prune" true (contains text "pruned");
-      let baseline = Filename.concat root "lint-baseline.sexp" in
-      Alcotest.(check bool)
-        "entry gone from the file" false
-        (contains (read_file baseline) "domain-race");
-      let code, _ = run_slint [ "--root"; root ] in
-      Alcotest.(check int) "pruned tree exits 0" 0 code)
+        "reports suppress-syntax" true
+        (contains text "suppress-syntax"))
 
 let test_slint_explain () =
   let code, text = run_slint [ "--explain"; "domain-race" ] in
@@ -639,9 +629,7 @@ let () =
           Alcotest.test_case "exit codes" `Quick test_slint_exit_codes;
           Alcotest.test_case "--rule filter" `Quick test_slint_rule_filter;
           Alcotest.test_case "--sarif" `Quick test_slint_sarif;
-          Alcotest.test_case "--write-baseline" `Quick
-            test_slint_write_baseline;
-          Alcotest.test_case "baseline rot" `Quick test_slint_baseline_rot;
+          Alcotest.test_case "directives" `Quick test_slint_directives;
           Alcotest.test_case "--explain" `Quick test_slint_explain;
         ] );
     ]

@@ -1,5 +1,5 @@
 (* Fixture-driven tests for the speedscale_lint engine: every rule firing
-   and not firing, suppression handling, and the baseline round-trip. *)
+   and not firing, and suppression handling. *)
 
 open Speedscale_lint
 
@@ -84,10 +84,14 @@ let test_naive_sum () =
 
 (* ---------------- nondeterminism ---------------- *)
 
+(* Global-Random call sites, reported by taint-nondet wherever they
+   appear, whether or not the value reaches a payload. *)
 let test_nondeterminism () =
-  let rule = "nondeterminism" in
+  let rule = "taint-nondet" in
   check_fires "Random.float" ~rule "let f () = Random.float 1.0";
   check_fires "Random.self_init" ~rule "let f () = Random.self_init ()";
+  check_fires "Random in an optional default of a closure argument" ~rule
+    "let f l = List.map (fun ?(k = Random.int 3) x -> x + k) l";
   check_quiet "Random.State" ~rule "let f st = Random.State.float st 1.0";
   check_quiet "unrelated" ~rule "let f x = x + 1"
 
@@ -231,12 +235,21 @@ let f () = Domain.DLS.get k|}
 let test_taint_nondet () =
   let rule = "taint-nondet" in
   (* the seeded regression: a Random call two levels below the function
-     building the record payload *)
-  check_fires "random two calls below the payload" ~rule
-    {|let noise () = Random.float 1.0
+     building the record payload.  The Random site itself is reported on
+     line 1 too, so the check pins the payload finding on line 4. *)
+  Alcotest.(check bool)
+    "random two calls below the payload: fires" true
+    (List.exists
+       (fun (f : Finding.t) ->
+         f.line = 4
+         && String.starts_with
+              ~prefix:"nondeterministic value flows into an obs record payload"
+              f.message)
+       (findings ~rule
+          {|let noise () = Random.float 1.0
 let jitter () = noise () +. 1.0
 let payload () =
-  Record.make ~id:"x" ~metrics:[ ("m", jitter ()) ] Experiment|};
+  Record.make ~id:"x" ~metrics:[ ("m", jitter ()) ] Experiment|}));
   check_fires "clock through a local binding" ~rule
     {|let f () = let d = Unix.gettimeofday () in metric "t" d|};
   check_fires "hashtbl order through a closure parameter" ~rule
@@ -247,7 +260,7 @@ let emit tbl = List.iter (fun (name, v) -> counter name v) (rows tbl)|};
   check_quiet "untainted payload" ~rule
     {|let payload v = Record.make ~id:"x" ~metrics:[ ("m", v) ] Experiment|};
   check_quiet "taint that never reaches the sink" ~rule
-    {|let noise () = Random.float 1.0
+    {|let noise () = Sys.time ()
 let f () = let _ = noise () in metric "t" 1.0|};
   check_quiet "Random.State is deterministic" ~rule
     {|let f st = metric "t" (Random.State.float st 1.0)|};
@@ -372,7 +385,7 @@ let test_suppression_diagnostics () =
   Alcotest.(check int) "missing reason" 1 (List.length (all f "suppress-syntax"));
   (* a malformed directive suppresses nothing *)
   Alcotest.(check int) "still reported" 1 (List.length (all f "float-eq"));
-  (* directive matching no finding -> unused-suppression warning *)
+  (* directive matching no finding -> unused-suppression error *)
   let f =
     Engine.check_source ~rules:Registry.all ~rel:"lib/model/fixture.ml"
       ("let f x = x + 1  " ^ allow "float-eq" "fixture")
@@ -380,10 +393,25 @@ let test_suppression_diagnostics () =
   let unused = all f "unused-suppression" in
   Alcotest.(check int) "unused" 1 (List.length unused);
   Alcotest.(check bool)
-    "unused is a warning" true
+    "unused is an error" true
     (match unused with
-    | [ u ] -> u.severity = Finding.Warning
-    | _ -> false)
+    | [ u ] -> u.severity = Finding.Error
+    | _ -> false);
+  (* a directive for a rule outside the scan cannot have matched *)
+  let f =
+    Engine.check_source ~rules:(rules_of "naive-sum")
+      ~rel:"lib/model/fixture.ml"
+      ("let f x = x + 1  " ^ allow "float-eq" "fixture")
+  in
+  Alcotest.(check int)
+    "rule that did not run" 0
+    (List.length (all f "unused-suppression"));
+  (* a directive naming no rule -> suppress-syntax error *)
+  let f =
+    Engine.check_source ~rules:Registry.all ~rel:"lib/model/fixture.ml"
+      ("let f x = x + 1  " ^ allow "no-such-rule" "fixture")
+  in
+  Alcotest.(check int) "unknown rule" 1 (List.length (all f "suppress-syntax"))
 
 (* ---------------- parse errors ---------------- *)
 
@@ -395,73 +423,6 @@ let test_parse_error () =
   Alcotest.(check bool)
     "syntax error reported" true
     (List.exists (fun (g : Finding.t) -> String.equal g.rule "parse-error") f)
-
-(* ---------------- baseline ---------------- *)
-
-let test_baseline_roundtrip () =
-  let entries =
-    [
-      { Baseline.file = "lib/model/power.ml"; line = 12; rule = "float-eq" };
-      { Baseline.file = "bench/experiments.ml"; line = 39; rule = "unsafe-pow" };
-    ]
-  in
-  (match Baseline.of_string (Baseline.to_string entries) with
-  | Error e -> Alcotest.fail e
-  | Ok back ->
-    Alcotest.(check int) "length" (List.length entries) (List.length back);
-    List.iter2
-      (fun (a : Baseline.entry) (b : Baseline.entry) ->
-        Alcotest.(check string) "file" a.file b.file;
-        Alcotest.(check int) "line" a.line b.line;
-        Alcotest.(check string) "rule" a.rule b.rule)
-      entries back);
-  (* comments and blank lines are ignored *)
-  (match Baseline.of_string "; header\n\n(a.ml 3 float-eq)\n" with
-  | Error e -> Alcotest.fail e
-  | Ok l -> Alcotest.(check int) "comments skipped" 1 (List.length l));
-  (* mem matches findings against entries *)
-  let fnd =
-    Finding.v ~line:12 ~file:"lib/model/power.ml" ~rule:"float-eq"
-      ~severity:Finding.Error "m"
-  in
-  Alcotest.(check bool) "mem hit" true (Baseline.mem entries fnd);
-  Alcotest.(check bool)
-    "mem miss" false
-    (Baseline.mem entries { fnd with line = 13 });
-  (* of_findings drops nothing *)
-  Alcotest.(check int) "of_findings" 1
-    (List.length (Baseline.of_findings [ fnd ]))
-
-let test_baseline_malformed () =
-  match Baseline.of_string "(a.ml not-a-number float-eq)" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected a parse error"
-
-let test_baseline_rot () =
-  let live = { Baseline.file = "lib/a.ml"; line = 3; rule = "float-eq" } in
-  let dead = { Baseline.file = "lib/b.ml"; line = 9; rule = "unsafe-pow" } in
-  let findings =
-    [
-      Finding.v ~line:3 ~file:"lib/a.ml" ~rule:"float-eq"
-        ~severity:Finding.Error "m";
-    ]
-  in
-  (* stale = entries matching no current finding *)
-  (match Baseline.stale [ live; dead ] findings with
-  | [ e ] ->
-    Alcotest.(check string) "stale file" "lib/b.ml" e.Baseline.file;
-    Alcotest.(check int) "stale line" 9 e.Baseline.line
-  | l -> Alcotest.failf "expected one stale entry, got %d" (List.length l));
-  Alcotest.(check int)
-    "nothing stale when all fire" 0
-    (List.length (Baseline.stale [ live ] findings));
-  (* prune keeps exactly the entries that still fire *)
-  (match Baseline.prune [ live; dead ] findings with
-  | [ e ] -> Alcotest.(check string) "kept the live entry" "lib/a.ml" e.Baseline.file
-  | l -> Alcotest.failf "expected one kept entry, got %d" (List.length l));
-  Alcotest.(check int)
-    "prune of empty is empty" 0
-    (List.length (Baseline.prune [] findings))
 
 (* ---------------- interval domain soundness ---------------- *)
 
@@ -691,62 +652,57 @@ let test_widening_good_case () =
 
 let msrc rel text = { Engine.rel; text; mli = None }
 
-let project_findings ?(cross_module = true) ~rule sources =
-  Engine.check_sources ~cross_module ~rules:(Registry.select [ rule ]) sources
+let project_findings ~rule sources =
+  Engine.check_sources ~rules:(Registry.select [ rule ]) sources
   |> List.filter (fun (f : Finding.t) -> String.equal f.rule rule)
 
-let check_project_fires name ?cross_module ~rule sources =
+let check_project_fires name ~rule sources =
   Alcotest.(check bool)
     (name ^ ": fires") true
-    (project_findings ?cross_module ~rule sources <> [])
+    (project_findings ~rule sources <> [])
 
-let check_project_quiet name ?cross_module ~rule sources =
+let check_project_quiet name ~rule sources =
   Alcotest.(check int)
     (name ^ ": quiet") 0
-    (List.length (project_findings ?cross_module ~rule sources))
+    (List.length (project_findings ~rule sources))
 
 let test_cross_module_unsafe_pow () =
   let rule = "unsafe-pow" in
   (* the acceptance chain lib/workload -> lib/core -> lib/chen: the
      non-negativity proof of the pow base lives two modules away, so the
-     finding disappears exactly when cross-module resolution is on *)
+     finding disappears exactly when the producer is in the scan *)
+  let producer = msrc "lib/chen/chen.ml" "let mass x = Float.abs x" in
   let chain =
     [
-      msrc "lib/chen/chen.ml" "let mass x = Float.abs x";
       msrc "lib/core/core.ml" "let boost v = Chen.mass v +. 1.0";
       msrc "lib/workload/workload.ml"
         "let energy v a = Core.boost v ** a";
     ]
   in
-  check_project_quiet "cross-module proof" ~cross_module:true ~rule chain;
-  check_project_fires "proof unreachable without cross-module"
-    ~cross_module:false ~rule chain;
+  check_project_quiet "cross-module proof" ~rule (producer :: chain);
+  check_project_fires "proof unreachable without cross-module" ~rule chain;
   (* qualified toplevel constant *)
-  let const_chain =
-    [
-      msrc "lib/model/params.ml" "let scale = 4.0";
-      msrc "lib/core/core.ml" "let f a = Params.scale ** a";
-    ]
-  in
-  check_project_quiet "toplevel constant" ~cross_module:true ~rule const_chain;
-  check_project_fires "constant invisible without cross-module"
-    ~cross_module:false ~rule const_chain;
+  let params = msrc "lib/model/params.ml" "let scale = 4.0" in
+  let const_chain = [ msrc "lib/core/core.ml" "let f a = Params.scale ** a" ] in
+  check_project_quiet "toplevel constant" ~rule (params :: const_chain);
+  check_project_fires "constant invisible without cross-module" ~rule
+    const_chain;
   (* module alias *)
-  check_project_quiet "module alias" ~cross_module:true ~rule
+  check_project_quiet "module alias" ~rule
     [
       msrc "lib/chen/chen.ml" "let mass x = Float.abs x";
       msrc "lib/core/core.ml"
         "module C = Chen\nlet f a = C.mass 3.0 ** a";
     ];
   (* toplevel open *)
-  check_project_quiet "open route" ~cross_module:true ~rule
+  check_project_quiet "open route" ~rule
     [
       msrc "lib/chen/chen.ml" "let mass x = Float.abs x";
       msrc "lib/core/core.ml" "open Chen\nlet f a = mass 2.0 ** a";
     ];
   (* an .mli restricts visibility: the producer is not exported, so the
      qualified call cannot be resolved and nothing proves the base *)
-  check_project_fires "mli hides the producer" ~cross_module:true ~rule
+  check_project_fires "mli hides the producer" ~rule
     [
       { Engine.rel = "lib/chen/chen.ml";
         text = "let mass x = Float.abs x";
@@ -754,39 +710,53 @@ let test_cross_module_unsafe_pow () =
       msrc "lib/core/core.ml" "let f a = Chen.mass 3.0 ** a";
     ];
   (* homonymous modules are ambiguous and never resolve *)
-  check_project_fires "ambiguous module" ~cross_module:true ~rule
+  check_project_fires "ambiguous module" ~rule
     [
       msrc "lib/chen/helper.ml" "let mass x = Float.abs x";
       msrc "lib/model/helper.ml" "let mass x = x -. 1.0";
       msrc "lib/core/core.ml" "let f a = Helper.mass 3.0 ** a";
     ];
   (* a possibly-negative producer in another module keeps firing *)
-  check_project_fires "negative producer" ~cross_module:true ~rule
+  check_project_fires "negative producer" ~rule
     [
       msrc "lib/chen/chen.ml" "let shift x = Float.abs x -. 2.0";
       msrc "lib/core/core.ml" "let f a = Chen.shift 1.0 ** a";
-    ]
+    ];
+  (* one analysis scope: a bench/ base is proved by a lib/ producer *)
+  let bench = [ msrc "bench/energy.ml" "let energy v a = Chen.mass v ** a" ] in
+  check_project_quiet "bench base proved by lib" ~rule (producer :: bench);
+  check_project_fires "bench base without the lib producer" ~rule bench
 
 let test_cross_module_nan_flow () =
   let rule = "nan-flow" in
   (* acceptance chain: the 0/0 evidence is manufactured in lib/core from
      lib/chen values and reaches a payload in lib/workload — only the
      whole-program path can see it *)
+  let producer =
+    msrc "lib/chen/chen.ml"
+      "let unit_load x = if x < 0.0 then 0.0 else if x > 1.0 then 1.0 else x"
+  in
+  let core =
+    msrc "lib/core/core.ml"
+      "let efficiency a b = Chen.unit_load a /. Chen.unit_load b"
+  in
   let chain =
     [
-      msrc "lib/chen/chen.ml"
-        "let unit_load x = if x < 0.0 then 0.0 else if x > 1.0 then 1.0 \
-         else x";
-      msrc "lib/core/core.ml"
-        "let efficiency a b = Chen.unit_load a /. Chen.unit_load b";
+      core;
       msrc "lib/workload/workload.ml"
         {|let report a b = Record.make (Core.efficiency a b)|};
     ]
   in
-  check_project_fires "cross-module 0/0 into payload" ~cross_module:true ~rule
-    chain;
-  check_project_quiet "taint needs cross-module" ~cross_module:false ~rule
-    chain;
+  check_project_fires "cross-module 0/0 into payload" ~rule (producer :: chain);
+  check_project_quiet "taint needs cross-module" ~rule chain;
+  (* one analysis scope: a bench/ verdict sees the lib/ 0/0 *)
+  check_project_fires "bench verdict fed a cross-module 0/0" ~rule
+    [
+      producer;
+      core;
+      msrc "bench/report.ml"
+        "let check a b = verdict (Core.efficiency a b)";
+    ];
   (* direct creator in the sink argument *)
   check_project_fires "direct 0/0 at the sink" ~rule
     [
@@ -828,23 +798,21 @@ let test_cross_module_domain_race () =
      the spawn in lib/workload *)
   let write =
     [
-      counters;
       msrc "lib/workload/worker.ml"
         "let run () = Domain.spawn (fun () -> Counters.hits := 1)";
     ]
   in
-  check_project_fires "qualified write under spawn" ~cross_module:true ~rule
+  check_project_fires "qualified write under spawn" ~rule (counters :: write);
+  check_project_quiet "foreign state invisible without cross-module" ~rule
     write;
-  check_project_quiet "foreign state invisible without cross-module"
-    ~cross_module:false ~rule write;
-  check_project_fires "qualified deref read" ~cross_module:true ~rule
+  check_project_fires "qualified deref read" ~rule
     [
       counters;
       msrc "lib/workload/worker.ml"
         "let peek () = Domain.spawn (fun () -> !Counters.hits)";
     ];
   (* the access is one call below the spawned closure *)
-  check_project_fires "access through a local helper" ~cross_module:true ~rule
+  check_project_fires "access through a local helper" ~rule
     [
       counters;
       msrc "lib/workload/worker.ml"
@@ -852,20 +820,20 @@ let test_cross_module_domain_race () =
          let run () = Domain.spawn (fun () -> bump ())";
     ];
   (* the spawned root is itself a foreign function *)
-  check_project_fires "qualified spawn root" ~cross_module:true ~rule
+  check_project_fires "qualified spawn root" ~rule
     [
       counters;
       msrc "lib/engine/pool.ml" "let worker () = Counters.hits := 1";
       msrc "lib/workload/worker.ml"
         "let run () = Domain.spawn Pool.worker";
     ];
-  check_project_quiet "atomic foreign state is exempt" ~cross_module:true ~rule
+  check_project_quiet "atomic foreign state is exempt" ~rule
     [
       msrc "lib/core/counters.ml" "let hits = Atomic.make 0";
       msrc "lib/workload/worker.ml"
         "let run () = Domain.spawn (fun () -> Atomic.incr Counters.hits)";
     ];
-  check_project_quiet "mutex mediation" ~cross_module:true ~rule
+  check_project_quiet "mutex mediation" ~rule
     [
       counters;
       msrc "lib/workload/worker.ml"
@@ -876,9 +844,9 @@ let test_cross_module_domain_race () =
         \      Counters.hits := 1;\n\
         \      Mutex.unlock m)";
     ];
-  check_project_quiet "no spawn" ~cross_module:true ~rule
+  check_project_quiet "no spawn" ~rule
     [ counters; msrc "lib/workload/worker.ml" "let tally () = Counters.hits := 1" ];
-  check_project_quiet "immutable target" ~cross_module:true ~rule
+  check_project_quiet "immutable target" ~rule
     [
       msrc "lib/core/counters.ml" "let limit = 5";
       msrc "lib/workload/worker.ml"
@@ -907,10 +875,10 @@ let test_magic_tolerance () =
 (* ---------------- registry & reporters ---------------- *)
 
 let test_registry () =
-  Alcotest.(check int) "thirteen rules" 13 (List.length Registry.all);
+  Alcotest.(check int) "twelve rules" 12 (List.length Registry.all);
   Alcotest.(check bool)
     "select resolves every name" true
-    (List.length (Registry.select Registry.names) = 13);
+    (List.length (Registry.select Registry.names) = 12);
   Alcotest.(check bool)
     "every rule carries an example for --explain" true
     (List.for_all
@@ -994,11 +962,5 @@ let () =
           Alcotest.test_case "parse error" `Quick test_parse_error;
           Alcotest.test_case "registry" `Quick test_registry;
           Alcotest.test_case "reporters" `Quick test_reporters;
-        ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_baseline_roundtrip;
-          Alcotest.test_case "malformed" `Quick test_baseline_malformed;
-          Alcotest.test_case "rot" `Quick test_baseline_rot;
         ] );
     ]
