@@ -995,14 +995,15 @@ let e20 () =
              if s.probes > !max_probes then max_probes := s.probes;
              if s.breakpoints > !max_bps then max_bps := s.breakpoints));
       let t0 = Unix.gettimeofday () in
-      Array.iter
-        (fun j -> ignore (Speedscale_core.Pd.arrive pd j))
-        inst.jobs;
+      let decisions = Array.map (Speedscale_core.Pd.arrive pd) inst.jobs in
       let dt = Unix.gettimeofday () -. t0 in
       let cost =
         Cost.total (Schedule.cost inst (Speedscale_core.Pd.schedule pd))
       in
-      let dual = Speedscale_core.Pd.certificate pd in
+      let dual =
+        Speedscale_core.Pd.certificate ~power:inst.power
+          ~machines:inst.machines (Array.to_list decisions)
+      in
       let guarantee = Power.competitive_bound inst.power in
       let ratio = cost /. dual in
       if ratio > 27.0 +. 1e-6 then ok := false;

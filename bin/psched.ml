@@ -69,8 +69,17 @@ let check_applicable cmd (alg : Driver.algorithm) inst =
   if not (alg.applicable inst) then
     die cmd "%s is not applicable to this instance" alg.name
 
+(* Engines refuse what they cannot serve (a must-finish job whose window
+   collapses below the boundary tolerance, say) by raising [Failure] or
+   [Invalid_argument]; those end here as [die] too. *)
+let engine_guard cmd f =
+  match f () with
+  | v -> v
+  | exception (Failure m | Invalid_argument m) -> die cmd "%s" m
+
 (* Run a stream loop over the input ('-' is stdin).  The reader's
-   line-numbered complaints and the loops' own end here as [die]. *)
+   line-numbered complaints, the engines' refusals and the loops' own end
+   here as [die]. *)
 let with_input cmd input f =
   let ic =
     if input = "-" then stdin
@@ -81,7 +90,7 @@ let with_input cmd input f =
   in
   match f ic with
   | () -> if input <> "-" then close_in ic
-  | exception (Failure m | Sys_error m) -> die cmd "%s" m
+  | exception (Failure m | Invalid_argument m | Sys_error m) -> die cmd "%s" m
 
 (* ------------------------------------------------------------------ *)
 (* Decision records (shared by `run --decisions-only` and `stream`)     *)
@@ -246,6 +255,7 @@ let run_cmd =
   let run file algorithm show_schedule trace decisions_only =
     let inst = load_instance "run" file in
     check_applicable "run" algorithm inst;
+    engine_guard "run" @@ fun () ->
     if decisions_only then begin
       let e =
         match algorithm.engine with
@@ -637,6 +647,7 @@ let compare_cmd =
   let run file =
     let inst = load_instance "compare" file in
     Printf.printf "instance: %s\n\n" (Format.asprintf "%a" Instance.pp inst);
+    engine_guard "compare" @@ fun () ->
     List.iter
       (fun alg ->
         if alg.Driver.applicable inst then

@@ -1,7 +1,9 @@
 (* The live optimality certificate: after every arrival, weak duality
    makes g(lambda-so-far) a lower bound on the optimal cost of the prefix
    instance — no future knowledge needed.  A data center operator can
-   watch PD's certified regret bound evolve in real time.
+   watch PD's certified regret bound evolve in real time.  The bound is
+   read off the decisions PD has returned, so PD runs here with ~gc:true,
+   the bounded-memory configuration the online engines use.
 
    Run with:  dune exec examples/certificate_stream.exe *)
 
@@ -17,7 +19,8 @@ let () =
   Printf.printf
     "=== Live certificate stream: diurnal load, %d jobs, m = %d, alpha = %g ===\n\n"
     (Instance.n_jobs inst) machines (Power.alpha power);
-  let pd = Speedscale_core.Pd.create ~power ~machines () in
+  let pd = Speedscale_core.Pd.create ~gc:true ~power ~machines () in
+  let decisions = ref [] in
   let tab =
     Tab.create ~title:"certified regret bound after each arrival"
       ~header:
@@ -28,6 +31,7 @@ let () =
   Array.iteri
     (fun i (j : Job.t) ->
       let d = Speedscale_core.Pd.arrive pd j in
+      decisions := d :: !decisions;
       if i mod 4 = 3 || i = Instance.n_jobs inst - 1 then begin
         (* cost of the current partial schedule + values lost so far *)
         let sched = Speedscale_core.Pd.schedule pd in
@@ -37,7 +41,7 @@ let () =
             (fun id -> (Instance.job inst id).value)
             sched.rejected
         in
-        let g = Speedscale_core.Pd.certificate pd in
+        let g = Speedscale_core.Pd.certificate ~power ~machines !decisions in
         Tab.add_row tab
           [
             string_of_int (i + 1);

@@ -1,5 +1,4 @@
 open Speedscale_model
-open Speedscale_solver
 
 module O = Pd_core.Energy_value
 
@@ -10,7 +9,7 @@ module O = Pd_core.Energy_value
    cheapest placement inside a gap always uses the whole gap∩window, so
    each gap contributes exactly one candidate.  The candidate price is
    PD's marginal price at the slot speed, [delta * w * P'(w/len)] — the
-   same vocabulary as the preemptive engine, so the Lagrangian dual bound
+   same vocabulary as the preemptive engine, so the weak-duality bound
    over the multipliers stays a valid certificate (non-preemptive
    schedules are a subset of the preemptive relaxation's). *)
 module Windows = struct
@@ -173,8 +172,7 @@ module Windows = struct
     }
 end
 
-module C = Pd_core.Lagrangian (O)
-module Core = Pd_core.Make (O) (Windows) (C)
+module Core = Pd_core.Make (O) (Windows)
 
 type t = Core.t
 
@@ -192,12 +190,10 @@ let create ?clock ?delta ?(gc = false) ~power ~machines () =
 
 let arrive = Core.arrive
 let schedule = Core.schedule
-let lambdas = Core.lambdas
 let stats = Core.stats
 let mem = Core.mem
 let set_observer = Core.set_observer
-let certificate = Core.certificate
-let certificate_result = Core.certificate_result
+let certificate = Pd_core.certificate
 
 let slots t =
   let r = Core.relax t in
@@ -223,18 +219,18 @@ let run ?delta (inst : Instance.t) =
     List.init (Instance.n_jobs inst) (fun i -> arrive t (Instance.job inst i))
   in
   let sched = schedule t in
-  let n = Instance.n_jobs inst in
-  let lambda = Array.make n 0.0 in
-  List.iter (fun (id, l) -> lambda.(id) <- l) (lambdas t);
-  let tl = Timeline.of_jobs (Array.to_list inst.jobs) in
-  let dual = Dual.evaluate inst tl ~lambda in
+  let lambda = Array.make (Instance.n_jobs inst) 0.0 in
+  List.iter (fun (d : decision) -> lambda.(d.job.id) <- d.lambda) decisions;
+  let acc, rej = List.partition (fun (d : decision) -> d.accepted) decisions in
+  let ids = List.map (fun (d : decision) -> d.job.id) in
   {
     schedule = sched;
     cost = Schedule.cost inst sched;
     lambda;
-    accepted = Core.accepted t;
-    rejected = Core.rejected t;
-    dual_bound = dual.value;
+    accepted = ids acc;
+    rejected = ids rej;
+    dual_bound =
+      certificate ~power:inst.power ~machines:inst.machines decisions;
     guarantee = Power.competitive_bound inst.power;
     decisions;
   }

@@ -14,8 +14,9 @@
     at most [v_j], else it is rejected with [λ_j = v_j].
 
     Because every non-preemptive schedule is feasible for the preemptive
-    relaxation, the Lagrangian bound [g(λ̃)] from {!certificate} remains
-    a certified lower bound on the {e preemptive} optimum — and hence
+    relaxation, the dual bound [g(λ̃)] from {!certificate} (PD's
+    {!Pd_core.certificate}, read off the decisions) remains a certified
+    lower bound on the {e preemptive} optimum — and hence
     also on the (larger) non-preemptive optimum.  Unlike PD, no
     constant-factor guarantee is claimed for this greedy (the
     non-preemptive problem is strongly NP-hard even offline); experiment
@@ -24,7 +25,9 @@
     The two solver flavours of the framework coincide here (the
     candidate set is finite and the price is closed-form), so there is
     no [arrive_reference].  [~gc:true] bounds memory exactly as in PD:
-    wholly-past slots are flushed into a finished-slice accumulator. *)
+    wholly-past slots are flushed into a finished-slice accumulator and
+    expired ids leave the dup-id table; {!certificate}, which reads only
+    the decisions, is unaffected. *)
 
 open Speedscale_model
 
@@ -62,9 +65,6 @@ val arrive : t -> Job.t -> decision
 val schedule : t -> Schedule.t
 (** One slice per booked slot (plus the flushed accumulator under gc). *)
 
-val lambdas : t -> (int * float) list
-(** [(job id, λ_j)] in arrival order. *)
-
 val slots : t -> (float * float * int * float) list list
 (** Per machine, the live booked slots [(t0, t1, job, speed)] sorted by
     start time (for inspection/tests).  Under gc, flushed slots no
@@ -75,17 +75,16 @@ val stats : t -> Pd_core.stats
     [intervals] counts scanned gaps, [breakpoints] stays [0]. *)
 
 val mem : t -> Pd_core.mem_stats
-(** Residency gauges; [live_intervals] counts live booked slots. *)
+(** Residency gauges; [live_intervals] counts live booked slots and
+    [table_entries] the dup-id table, as in PD. *)
 
 val set_observer : t -> (Pd_core.arrival_stats -> unit) option -> unit
 
-val certificate : t -> float
-(** The Lagrangian dual bound [g(λ̃)] over the jobs seen so far — a
-    lower bound on the preemptive (hence also the non-preemptive)
-    optimal cost of the prefix instance.  Raises
-    {!Pd_core.Bounded_memory} on a [~gc:true] state. *)
-
-val certificate_result : t -> (float, Pd_core.history_error) result
+val certificate : power:Power.t -> machines:int -> decision list -> float
+(** {!Pd_core.certificate}: the weak-duality bound [g(λ̃)] over the
+    given decisions — fed a prefix's decisions, a lower bound on the
+    preemptive (hence also the non-preemptive) optimal cost of that
+    prefix instance, with or without gc. *)
 
 type result = {
   schedule : Schedule.t;

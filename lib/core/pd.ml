@@ -1,18 +1,16 @@
 open Speedscale_model
-open Speedscale_solver
 
 (* PD is the framework's reference instantiation: the paper's
-   energy+lost-value objective, the atomic-interval/Chen water-filling
-   relaxation, and the Lagrangian dual certificate.  Everything below is
-   a thin delegation layer; the algorithm itself lives in Pd_core (where
-   both the fast breakpoint-walk solver and the bisection reference
-   oracle are shared with any other instantiation of the interval
-   relaxation). *)
+   energy+lost-value objective and the atomic-interval/Chen water-filling
+   relaxation, with Pd_core's certificate read off its decisions.
+   Everything below is a thin delegation layer; the algorithm itself
+   lives in Pd_core (where both the fast breakpoint-walk solver and the
+   bisection reference oracle are shared with any other instantiation of
+   the interval relaxation). *)
 
 module O = Pd_core.Energy_value
 module R = Pd_core.Interval (O)
-module C = Pd_core.Lagrangian (O)
-module Core = Pd_core.Make (O) (R) (C)
+module Core = Pd_core.Make (O) (R)
 
 type t = Core.t
 
@@ -52,14 +50,6 @@ type decision = Pd_core.decision = {
   assignment : (int * float) list;
 }
 
-type history_error = Pd_core.history_error = {
-  operation : string;
-  flushed_intervals : int;
-  evicted_jobs : int;
-}
-
-exception Bounded_memory = Pd_core.Bounded_memory
-
 let create ?clock ?delta ?(gc = false) ~power ~machines () =
   Core.create ?clock ~gc ~err:"Pd"
     (O.make ?delta ~err:"Pd.create" ~power ~machines ())
@@ -72,10 +62,8 @@ let arrive_reference = Core.arrive_reference
 let boundaries t = R.boundaries (Core.relax t)
 let interval_loads t = R.interval_loads (Core.relax t)
 let schedule = Core.schedule
-let lambdas = Core.lambdas
 let delta t = O.delta (Core.obj t)
-let certificate = Core.certificate
-let certificate_result = Core.certificate_result
+let certificate = Pd_core.certificate
 
 type result = {
   schedule : Schedule.t;
@@ -97,18 +85,18 @@ let run ?delta:d (inst : Instance.t) =
     List.init (Instance.n_jobs inst) (fun i -> arrive t (Instance.job inst i))
   in
   let sched = schedule t in
-  let n = Instance.n_jobs inst in
-  let lambda = Array.make n 0.0 in
-  List.iter (fun (id, l) -> lambda.(id) <- l) (lambdas t);
-  let tl = Timeline.of_jobs (Array.to_list inst.jobs) in
-  let dual = Dual.evaluate inst tl ~lambda in
+  let lambda = Array.make (Instance.n_jobs inst) 0.0 in
+  List.iter (fun (d : decision) -> lambda.(d.job.id) <- d.lambda) decisions;
+  let acc, rej = List.partition (fun (d : decision) -> d.accepted) decisions in
+  let ids = List.map (fun (d : decision) -> d.job.id) in
   {
     schedule = sched;
     cost = Schedule.cost inst sched;
     lambda;
-    accepted = Core.accepted t;
-    rejected = Core.rejected t;
-    dual_bound = dual.value;
+    accepted = ids acc;
+    rejected = ids rej;
+    dual_bound =
+      certificate ~power:inst.power ~machines:inst.machines decisions;
     guarantee = Power.competitive_bound inst.power;
     decisions;
     delta = delta t;

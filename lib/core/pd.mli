@@ -32,13 +32,15 @@
 
     With [δ = α^(1-α)] (the default), PD is [α^α]-competitive (Theorem 3),
     and the certificate [g(λ̃)] returned in {!result} proves the bound {e
-    per instance}: [cost <= α^α · g(λ̃) <= α^α · OPT].
+    per instance}: [cost <= α^α · g(λ̃) <= α^α · OPT].  {!certificate}
+    computes it from any list of decisions, so a caller streaming
+    arrivals keeps the decisions it wants certified, with or without gc.
 
     Since the framework refactor, PD is the reference instantiation of
-    {!Pd_core}: [Pd_core.Make (Energy_value) (Interval (Energy_value))
-    (Lagrangian (Energy_value))], decision-bit-identical to the
-    pre-framework code (qcheck-pinned in [test_core.ml]).  The
-    non-preemptive engine [Npd] swaps only the relaxation module. *)
+    {!Pd_core}: [Pd_core.Make (Energy_value) (Interval (Energy_value))],
+    decision-bit-identical to the pre-framework code (qcheck-pinned in
+    [test_core.ml]).  The non-preemptive engine [Npd] swaps only the
+    relaxation module. *)
 
 open Speedscale_model
 
@@ -63,18 +65,17 @@ val create :
     of the current release (by a safety margin of several boundary
     tolerances, DESIGN.md section 5) has its realized slices flushed
     into a finished-schedule accumulator and its committed-load state
-    dropped, and the dup-id/outcome table entries of jobs whose
-    deadlines are equally past are evicted.  Decisions, multipliers and
-    the final {!schedule} are identical to a [~gc:false] state fed the
-    same stream; what changes is visibility: {!boundaries},
-    {!interval_loads} and {!decision.assignment} indices cover only the
-    {e live} intervals, duplicate-id detection only covers jobs whose
-    windows are still live, and {!certificate} (which needs every
-    multiplier) raises {!Bounded_memory}.  Use {!mem} to observe
-    residency.  To persist or move a state, use the engine layer's
-    [online-snapshot v1] (doc/ENGINE.md): PD's state is a deterministic
-    function of its arrival prefix, so replaying the arrivals restores
-    it exactly, with or without gc. *)
+    dropped, and the dup-id table entries of jobs whose deadlines are
+    equally past are evicted.  Decisions, multipliers and the final
+    {!schedule} are identical to a [~gc:false] state fed the same stream,
+    and so is the {!certificate} of those decisions; what changes is
+    visibility: {!boundaries}, {!interval_loads} and
+    {!decision.assignment} indices cover only the {e live} intervals, and
+    duplicate-id detection only covers jobs whose windows are still live.
+    Use {!mem} to observe residency.  To persist or move a state, use the
+    engine layer's [online-snapshot v1] (doc/ENGINE.md): PD's state is a
+    deterministic function of its arrival prefix, so replaying the
+    arrivals restores it exactly, with or without gc. *)
 
 type arrival_stats = {
   job_id : int;
@@ -114,7 +115,7 @@ val stats : t -> stats
 type mem_stats = {
   live_intervals : int;  (** atomic intervals currently resident *)
   max_live_intervals : int;  (** high-water mark of [live_intervals] *)
-  table_entries : int;  (** dup-id + outcome hash-table entries resident *)
+  table_entries : int;  (** dup-id hash-table entries resident *)
   max_table_entries : int;  (** high-water mark of [table_entries] *)
   flushed_intervals : int;  (** intervals GC has flushed, cumulative *)
   evicted_jobs : int;  (** table entries GC has evicted, cumulative *)
@@ -128,7 +129,7 @@ val mem : t -> mem_stats
     live counts are proportional to the live window — the property E24's
     verdict checks in @bench-quick (doc/BENCHMARKING.md). *)
 
-type decision = {
+type decision = Pd_core.decision = {
   job : Job.t;
   accepted : bool;
   lambda : float;  (** the multiplier [λ̃_j] fixed at arrival *)
@@ -175,36 +176,13 @@ val schedule : t -> Schedule.t
     live intervals' slices — the same slices, interval for interval, as a
     [~gc:false] state would realize. *)
 
-val lambdas : t -> (int * float) list
-(** [(job id, λ̃_j)] in arrival order. *)
-
-type history_error = Pd_core.history_error = {
-  operation : string;  (** always ["Pd.certificate"] *)
-  flushed_intervals : int;  (** intervals GC had flushed at the call *)
-  evicted_jobs : int;  (** table entries GC had evicted at the call *)
-}
-(** Why {!certificate} is unavailable on a bounded-memory ([~gc:true])
-    state: the flushed prefix and its multipliers are gone.  The counters
-    say how much history was dropped, so callers can report precisely
-    instead of guessing.  Render with {!Pd_core.pp_history_error}. *)
-
-exception Bounded_memory of history_error
-(** The same exception as {!Pd_core.Bounded_memory} (rebound, not
-    redeclared).  Raised by {!certificate} on a [~gc:true] state.
-    Prefer {!certificate_result} in new code; the exception exists for
-    call sites that treat the situation as a programming error. *)
-
-val certificate : t -> float
-(** The dual lower bound [g(λ̃)] over the jobs seen {e so far} — a valid
-    lower bound on the optimal cost of the prefix instance at any moment
-    of the online execution (weak duality needs no future knowledge).
-    [0] before the first arrival.  Together with the running cost this
-    gives a live, certified bound on PD's regret.  Raises
-    {!Bounded_memory} on a [~gc:true] state (needs every multiplier). *)
-
-val certificate_result : t -> (float, history_error) result
-(** {!certificate} with the bounded-memory case as a typed [Error]
-    instead of an exception. *)
+val certificate : power:Power.t -> machines:int -> decision list -> float
+(** {!Pd_core.certificate}: the dual lower bound [g(λ̃)] over the jobs and
+    multipliers of the given decisions.  Fed the decisions of a prefix of
+    the arrivals, it lower-bounds the optimal cost of that prefix instance
+    at any moment of the online execution (weak duality needs no future
+    knowledge); together with the running cost this gives a live,
+    certified bound on PD's regret.  [0] for no decisions. *)
 
 type result = {
   schedule : Schedule.t;

@@ -61,22 +61,8 @@ type decision = {
   assignment : (int * float) list;
 }
 
-type history_error = {
-  operation : string;
-  flushed_intervals : int;
-  evicted_jobs : int;
-}
-
-exception Bounded_memory of history_error
-
-let pp_history_error ppf (e : history_error) =
-  Fmt.pf ppf
-    "%s needs the full history; this state runs with ~gc:true (bounded \
-     memory): %d intervals flushed, %d jobs evicted"
-    e.operation e.flushed_intervals e.evicted_jobs
-
 (* Binary min-heap of (deadline, job id): the eviction order for the
-   dup-id/outcome tables under GC.  Only ever holds live-window jobs. *)
+   dup-id table under GC.  Only ever holds live-window jobs. *)
 module Expiry = struct
   type t = { mutable a : (float * int) array; mutable n : int }
 
@@ -183,7 +169,7 @@ module Slab = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Module parameters: objective, relaxation, certificate                *)
+(* Module parameters: objective, relaxation                             *)
 (* ------------------------------------------------------------------ *)
 
 module type OBJECTIVE = sig
@@ -274,62 +260,47 @@ module type RELAXATION = sig
   val mem : t -> relax_mem
 end
 
-module type CERTIFICATE = sig
-  type obj
+(* ------------------------------------------------------------------ *)
+(* The certificate                                                      *)
+(* ------------------------------------------------------------------ *)
 
-  val name : string
-
-  val evaluate : obj -> jobs:Job.t list -> lambda_of:(int -> float) -> float
-  (** A certified lower bound on the optimal cost of the instance made of
-      [jobs] (arrival order), given the multipliers the run fixed. *)
-end
-
-(* The default certificate: the Lagrangian dual bound g(lambda) of the
-   paper's relaxation (weak duality, Theorem 2).  It is a valid lower
-   bound for any instantiation whose feasible set is contained in the
+(* The paper's dual bound g(lambda) (weak duality, Theorem 2), read off a
+   run's decisions: each carries its job and the multiplier fixed at
+   arrival, which is all g needs, so the bound is the same whether the
+   engine ran with gc or not.  It is a valid lower bound for any
+   instantiation whose feasible set is contained in the
    preemptive-migratory relaxation — in particular for the non-preemptive
    engine, whose schedules are a subset of the preemptive ones. *)
-module Lagrangian (O : OBJECTIVE) = struct
-  type obj = O.t
-
-  let name = "lagrangian-dual"
-
-  let evaluate obj ~jobs ~lambda_of =
-    match jobs with
-    | [] -> 0.0
-    | seen ->
-      (* Instance.make re-ranks ids by (release, id); mirror that order to
-         line the multipliers up with the re-ranked jobs. *)
-      let sorted = List.stable_sort Job.compare_release seen in
-      let inst =
-        Instance.make ~power:(O.power obj) ~machines:(O.machines obj) sorted
-      in
-      let lambda =
-        Array.of_list (List.map (fun (j : Job.t) -> lambda_of j.id) sorted)
-      in
-      (Dual.evaluate inst (Timeline.of_jobs sorted) ~lambda).value
-end
+let certificate ~power ~machines (decisions : decision list) =
+  match decisions with
+  | [] -> 0.0
+  | _ ->
+    (* Instance.make re-ranks ids by (release, id); mirror that order to
+       line the multipliers up with the re-ranked jobs. *)
+    let sorted =
+      List.stable_sort
+        (fun (a : decision) (b : decision) -> Job.compare_release a.job b.job)
+        decisions
+    in
+    let jobs = List.map (fun (d : decision) -> d.job) sorted in
+    let lambda =
+      Array.of_list (List.map (fun (d : decision) -> d.lambda) sorted)
+    in
+    let inst = Instance.make ~power ~machines jobs in
+    (Dual.evaluate inst (Timeline.of_jobs jobs) ~lambda).value
 
 (* ------------------------------------------------------------------ *)
 (* The generic accept/reject + lambda-pricing loop                      *)
 (* ------------------------------------------------------------------ *)
 
-module Make
-    (O : OBJECTIVE)
-    (R : RELAXATION with type obj = O.t)
-    (C : CERTIFICATE with type obj = O.t) =
-struct
+module Make (O : OBJECTIVE) (R : RELAXATION with type obj = O.t) = struct
   type t = {
     obj : O.t;
     relax : R.t;
     err : string;
     gc : bool;
     expiry : Expiry.t;
-    mutable seen : Job.t list;  (* reversed arrival order; empty under GC *)
     seen_ids : (int, unit) Hashtbl.t;
-    outcomes : (int, float * bool) Hashtbl.t;  (* id -> lambda, accepted *)
-    mutable lambda_rev : (int * float) list;
-    mutable accepted_rev : int list;
     mutable rejected_rev : int list;
     mutable last_release : float;
     mutable evicted_jobs : int;
@@ -351,11 +322,7 @@ struct
       err;
       gc;
       expiry = Expiry.create ();
-      seen = [];
       seen_ids = Hashtbl.create 64;
-      outcomes = Hashtbl.create 64;
-      lambda_rev = [];
-      accepted_rev = [];
       rejected_rev = [];
       last_release = Float.neg_infinity;
       evicted_jobs = 0;
@@ -371,7 +338,6 @@ struct
 
   let obj t = t.obj
   let relax t = t.relax
-  let gc_enabled t = t.gc
   let set_observer t obs = t.observer <- obs
   let now t = match t.clock with Some c -> c () | None -> 0.0
 
@@ -389,7 +355,7 @@ struct
     {
       live_intervals = rm.r_live;
       max_live_intervals = rm.r_max_live;
-      table_entries = Hashtbl.length t.seen_ids + Hashtbl.length t.outcomes;
+      table_entries = Hashtbl.length t.seen_ids;
       max_table_entries = t.max_table;
       flushed_intervals = rm.r_flushed;
       evicted_jobs = t.evicted_jobs;
@@ -404,15 +370,10 @@ struct
         | Some (d, id) when safely_past ~last_release:t.last_release d ->
           Expiry.pop t.expiry;
           Hashtbl.remove t.seen_ids id;
-          Hashtbl.remove t.outcomes id;
           t.evicted_jobs <- t.evicted_jobs + 1
         | _ -> evicting := false
       done
     end
-
-  let bump_table t =
-    let tables = Hashtbl.length t.seen_ids + Hashtbl.length t.outcomes in
-    if tables > t.max_table then t.max_table <- tables
 
   let emit_stats t (d : decision) ~(ra : relax_arrival) ~t0 =
     t.arrivals <- t.arrivals + 1;
@@ -443,9 +404,9 @@ struct
       invalid_arg (t.err ^ ".arrive: jobs must arrive in release order");
     t.last_release <- Float.max t.last_release job.release;
     Hashtbl.add t.seen_ids job.id ();
-    if t.gc then Expiry.push t.expiry job.deadline job.id
-    else t.seen <- job :: t.seen;
+    if t.gc then Expiry.push t.expiry job.deadline job.id;
     evict_tables t;
+    t.max_table <- Stdlib.max t.max_table (Hashtbl.length t.seen_ids);
     R.prepare t.relax job ~last_release:t.last_release;
     let verdict = R.price t.relax job ~reference in
     let w = job.workload in
@@ -453,17 +414,10 @@ struct
       match verdict with
       | Reject lambda ->
         let planned_speed = O.speed_of_price t.obj ~workload:w lambda in
-        t.lambda_rev <- (job.id, lambda) :: t.lambda_rev;
-        Hashtbl.replace t.outcomes job.id (lambda, false);
-        bump_table t;
         t.rejected_rev <- job.id :: t.rejected_rev;
         { job; accepted = false; lambda; planned_speed; assignment = [] }
       | Accept (lambda, assignment) ->
         let planned_speed = O.speed_of_price t.obj ~workload:w lambda in
-        t.lambda_rev <- (job.id, lambda) :: t.lambda_rev;
-        Hashtbl.replace t.outcomes job.id (lambda, true);
-        bump_table t;
-        t.accepted_rev <- job.id :: t.accepted_rev;
         { job; accepted = true; lambda; planned_speed; assignment }
     in
     emit_stats t d ~ra:(R.take_arrival t.relax) ~t0;
@@ -472,34 +426,6 @@ struct
   let arrive t job = arrive_with ~reference:false t job
   let arrive_reference t job = arrive_with ~reference:true t job
   let schedule t = R.schedule t.relax ~rejected:(List.rev t.rejected_rev)
-  let lambdas t = List.rev t.lambda_rev
-  let accepted t = List.rev t.accepted_rev
-  let rejected t = List.rev t.rejected_rev
-
-  let history_guard t operation =
-    if t.gc then
-      Error
-        {
-          operation = t.err ^ "." ^ operation;
-          flushed_intervals = (R.mem t.relax).r_flushed;
-          evicted_jobs = t.evicted_jobs;
-        }
-    else Ok ()
-
-  let certificate_result t =
-    match history_guard t "certificate" with
-    | Error e -> Error e
-    | Ok () ->
-      Ok
-        (C.evaluate t.obj ~jobs:(List.rev t.seen) ~lambda_of:(fun id ->
-             match Hashtbl.find_opt t.outcomes id with
-             | Some (l, _) -> l
-             | None -> 0.0))
-
-  let certificate t =
-    match certificate_result t with
-    | Ok v -> v
-    | Error e -> raise (Bounded_memory e)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -6,7 +6,7 @@
     the committed work, price each arrival by the marginal cost of
     squeezing it in, accept iff the price stays below the job's worth,
     and read a dual certificate off the multipliers.  This module factors
-    that recipe into three module parameters:
+    that recipe into two module parameters:
 
     + an {{!OBJECTIVE} objective} — the price↔speed conversions, the
       acceptance cap, and the proven guarantee ({!Energy_value} is the
@@ -14,18 +14,19 @@
     + a {{!RELAXATION} relaxation} — how committed work is represented,
       refined, priced, and turned into a schedule ({!Interval} is the
       paper's atomic-interval timeline with Chen water-filling; [Npd]'s
-      contiguous-slot booking is a second instance);
-    + a {{!CERTIFICATE} certificate} — the per-run dual bound
-      ({!Lagrangian} evaluates [g(λ)], a lower bound on OPT by weak
-      duality, exactly as E11's duality chain does).
+      contiguous-slot booking is a second instance).
 
-    {!Make} ties them into the generic online loop: admission checks,
-    bounded-memory table eviction, decision bookkeeping, observer
-    instrumentation, and certificate reporting.  {!Pd} instantiates
-    [Make (Energy_value) (Interval (Energy_value)) (Lagrangian
-    (Energy_value))] and is decision-bit-identical to the pre-framework
-    code (the qcheck equivalence suite in [test_core.ml] pins this); the
-    non-preemptive engine [Npd] swaps only the relaxation. *)
+    {!Make} ties them into the generic online loop: admission checks
+    (duplicate ids, release order), bounded-memory eviction of the dup-id
+    table, observer instrumentation, and the rejected list the final
+    schedule needs.  It keeps no other history: the dual certificate is
+    {!certificate}, a function of the decisions the loop returns (each
+    carries its job and its multiplier), evaluated the way E11's duality
+    chain does.  {!Pd} instantiates
+    [Make (Energy_value) (Interval (Energy_value))] and is
+    decision-bit-identical to the pre-framework code (the qcheck
+    equivalence suite in [test_core.ml] pins this); the non-preemptive
+    engine [Npd] swaps only the relaxation. *)
 
 open Speedscale_model
 
@@ -87,20 +88,6 @@ type decision = {
   planned_speed : float;
   assignment : (int * float) list;
 }
-
-type history_error = {
-  operation : string;  (** [err ^ ".certificate"], e.g. ["Pd.certificate"] *)
-  flushed_intervals : int;  (** intervals GC had flushed at the call *)
-  evicted_jobs : int;  (** table entries GC had evicted at the call *)
-}
-(** Why a full-history operation is unavailable on a bounded-memory
-    ([~gc:true]) state: the flushed prefix is gone. *)
-
-exception Bounded_memory of history_error
-(** Raised by [certificate] on a [~gc:true] state; [certificate_result]
-    returns [Error] instead. *)
-
-val pp_history_error : Format.formatter -> history_error -> unit
 
 (* ------------------------------------------------------------------ *)
 (* Flushed-slice accumulator (shared by relaxations with GC)            *)
@@ -197,29 +184,21 @@ module type RELAXATION = sig
   val mem : t -> relax_mem
 end
 
-module type CERTIFICATE = sig
-  type obj
-
-  val name : string
-
-  val evaluate : obj -> jobs:Job.t list -> lambda_of:(int -> float) -> float
-  (** A certified lower bound on the optimal cost of the instance made of
-      [jobs] (arrival order), given the multipliers the run fixed. *)
-end
-
-module Lagrangian (O : OBJECTIVE) : CERTIFICATE with type obj = O.t
-(** The paper's dual bound [g(λ)] (weak duality, Theorem 2) — valid for
-    any instantiation whose feasible schedules are contained in the
-    preemptive-migratory relaxation. *)
+val certificate : power:Power.t -> machines:int -> decision list -> float
+(** The paper's dual bound [g(λ̃)] (weak duality, Theorem 2) over the
+    jobs and multipliers of the given decisions (one run's, so ids are
+    distinct; any order): a certified lower bound on the optimal cost of
+    the instance those jobs make up.
+    [0] for no decisions.  Valid for any instantiation whose feasible
+    schedules are contained in the preemptive-migratory relaxation (both
+    {!Pd} and the non-preemptive [Npd]), and the same with or without gc,
+    since it reads nothing but the decisions. *)
 
 (* ------------------------------------------------------------------ *)
 (* The generic accept/reject + λ-pricing loop                           *)
 (* ------------------------------------------------------------------ *)
 
-module Make
-    (O : OBJECTIVE)
-    (R : RELAXATION with type obj = O.t)
-    (C : CERTIFICATE with type obj = O.t) : sig
+module Make (O : OBJECTIVE) (R : RELAXATION with type obj = O.t) : sig
   type t
 
   val create : ?clock:(unit -> float) -> ?gc:bool -> err:string -> O.t -> t
@@ -227,23 +206,12 @@ module Make
 
   val obj : t -> O.t
   val relax : t -> R.t
-  val gc_enabled : t -> bool
-
   val arrive : t -> Job.t -> decision
   val arrive_reference : t -> Job.t -> decision
-
   val schedule : t -> Schedule.t
-  val lambdas : t -> (int * float) list
-  val accepted : t -> int list
-  val rejected : t -> int list
   val set_observer : t -> (arrival_stats -> unit) option -> unit
   val stats : t -> stats
   val mem : t -> mem_stats
-
-  val certificate : t -> float
-  (** Raises {!Bounded_memory} on a [~gc:true] state. *)
-
-  val certificate_result : t -> (float, history_error) result
 end
 
 (* ------------------------------------------------------------------ *)

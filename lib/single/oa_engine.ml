@@ -64,11 +64,16 @@ let start ~machines ~plan ?(admit = admit_all) ?(must_finish = false) () =
     executed = [];
   }
 
+(* The accepted jobs still to run, as remaining-work views at [now].  A
+   job whose deadline is already at or before [now] is out: the plan
+   executed up to it may leave float dust above the cut below (2e-9 of
+   work on an mOA datacenter stream), and its view would be released
+   after its deadline. *)
 let plan_jobs t ~now =
   Hashtbl.fold
     (fun id rem acc ->
       let j = Hashtbl.find t.accepted id in
-      if rem > work_eps *. (1.0 +. j.workload) then
+      if j.deadline > now && rem > work_eps *. (1.0 +. j.workload) then
         adjusted ~now j ~remaining:rem :: acc
       else acc)
     t.remaining []

@@ -213,7 +213,44 @@ let test_batch_rejects_malformed () =
         (fun cmd ->
           check_one_line_exit_2 cmd [ cmd; file ]
             [ "psched " ^ cmd ^ ":"; "line 3"; "workload" ])
-        [ "certify"; "compare"; "analyze"; "provision"; "replay"; "gantt" ]);
+        [ "certify"; "compare"; "analyze"; "provision"; "replay"; "gantt" ];
+      (* A well-formed instance an engine refuses ends the same way: PD
+         raises when must-finish job 1's window is below the boundary
+         tolerance.  Records already printed may precede the one
+         diagnostic line. *)
+      write_file file
+        "alpha 3\nmachines 1\njob 0 1 1 inf\njob 0.5 0.5000000000001 1 inf\n";
+      List.iter
+        (fun args ->
+          let name = String.concat " " args in
+          let code, out = run_capture args in
+          Alcotest.(check int) (name ^ ": exit 2") 2 code;
+          Alcotest.(check bool)
+            (name ^ ": no uncaught exception") false
+            (contains out "uncaught exception");
+          let marker =
+            "psched " ^ List.hd args
+            ^ ": Pd.arrive: job 1 must finish but its window"
+          in
+          match
+            List.filter
+              (String.starts_with ~prefix:"psched ")
+              (String.split_on_char '\n' out)
+          with
+          | [ line ] ->
+            Alcotest.(check bool)
+              (name ^ ": names the refusal: " ^ line)
+              true (contains line marker)
+          | lines ->
+            Alcotest.failf "%s: %d diagnostic lines in %S" name
+              (List.length lines) out)
+        [
+          [ "run"; file ];
+          [ "run"; "--decisions-only"; file ];
+          [ "compare"; file ];
+          [ "stream"; file ];
+          [ "serve"; file; "--shards"; "1" ];
+        ]);
   with_instance (fun path ->
       check_one_line_exit_2 "run -a oa on m=2" [ "run"; path; "-a"; "oa" ]
         [ "psched run:"; "not applicable" ])

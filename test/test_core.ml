@@ -315,11 +315,13 @@ let prop_pd_paths_equivalent =
       let gcd =
         Pd.create ~gc:true ~power:inst.power ~machines:inst.machines ()
       in
+      let fast_decisions = ref [] in
       Array.iter
         (fun (j : Job.t) ->
           let df = Pd.arrive fast j in
           let ds = Pd.arrive_reference slow j in
           let dg = Pd.arrive gcd j in
+          fast_decisions := df :: !fast_decisions;
           if df.accepted <> ds.accepted then
             QCheck.Test.fail_reportf
               "job %d: accepted %b (walk) vs %b (reference)" j.id
@@ -347,7 +349,11 @@ let prop_pd_paths_equivalent =
         QCheck.Test.fail_reportf "cost %.17g (gc) vs %.17g (no gc)" cg cf
       else begin
         (* Theorem 3's certificate, re-checked on the optimized path *)
-        let rhs = Power.competitive_bound inst.power *. Pd.certificate fast in
+        let g =
+          Pd.certificate ~power:inst.power ~machines:inst.machines
+            !fast_decisions
+        in
+        let rhs = Power.competitive_bound inst.power *. g in
         if cf > rhs +. (1e-6 *. (1.0 +. Float.abs rhs)) then
           QCheck.Test.fail_reportf "cost %.9g > %.9g = alpha^alpha * g" cf rhs
         else true
@@ -784,26 +790,29 @@ let prop_online_certificate_consistent =
     arb_setup (fun setup ->
       let inst = instance_of setup in
       let pd = Pd.create ~power:inst.power ~machines:inst.machines () in
+      let decisions = ref [] in
       let ok = ref true in
       Array.iteri
         (fun i (j : Job.t) ->
-          ignore (Pd.arrive pd j);
-          let live = Pd.certificate pd in
+          decisions := Pd.arrive pd j :: !decisions;
+          let live =
+            Pd.certificate ~power:inst.power ~machines:inst.machines
+              !decisions
+          in
           (* re-run PD from scratch on the prefix: same deterministic
-             algorithm, so the dual bounds must coincide *)
+             algorithm, so the dual bounds must coincide bit for bit *)
           let prefix =
             Instance.make ~power:inst.power ~machines:inst.machines
               (List.init (i + 1) (Instance.job inst))
           in
           let fresh = (Pd.run prefix).dual_bound in
-          if Float.abs (live -. fresh) > 1e-6 *. (1.0 +. Float.abs fresh)
-          then ok := false)
+          if not (Float.equal live fresh) then ok := false)
         inst.jobs;
       !ok)
 
 let test_certificate_empty () =
-  let pd = Pd.create ~power:p2 ~machines:1 () in
-  Alcotest.(check (float 0.0)) "no jobs, zero bound" 0.0 (Pd.certificate pd)
+  Alcotest.(check (float 0.0)) "no jobs, zero bound" 0.0
+    (Pd.certificate ~power:p2 ~machines:1 [])
 
 let test_analysis_high_yield_witness () =
   (* Derivation (alpha = 2, delta = 1/2, m = 1): job A spreads at speed
@@ -870,14 +879,13 @@ let test_pd_adversarial_ratio () =
 
 (* Pd is one instantiation of the Pd_core functor; this suite pins the
    framework path against Pd's public API so the two can never drift: a
-   hand-assembled Make (Energy_value) (Interval) (Lagrangian) must make
+   hand-assembled Make (Energy_value) (Interval) must make
    bit-identical decisions to Pd.arrive and agree with the bisection
    oracle Pd.arrive_reference to solver tolerance, with gc on and off,
    across the alpha/machine grid of the equivalence generator. *)
 module FO = Pd_core.Energy_value
 module FR = Pd_core.Interval (FO)
-module FC = Pd_core.Lagrangian (FO)
-module FCore = Pd_core.Make (FO) (FR) (FC)
+module FCore = Pd_core.Make (FO) (FR)
 
 let framework_pd ~gc ~power ~machines =
   FCore.create ~gc ~err:"Pd"
@@ -897,6 +905,7 @@ let prop_framework_instantiation_matches_pd =
         framework_pd ~gc:true ~power:inst.power ~machines:inst.machines
       in
       let oracle = Pd.create ~power:inst.power ~machines:inst.machines () in
+      let legacy_decisions = ref [] and framed_decisions = ref [] in
       Array.iter
         (fun (j : Job.t) ->
           let dl = Pd.arrive legacy j in
@@ -904,6 +913,8 @@ let prop_framework_instantiation_matches_pd =
           let dlg = Pd.arrive legacy_gc j in
           let dfg = FCore.arrive framed_gc j in
           let dr = Pd.arrive_reference oracle j in
+          legacy_decisions := dl :: !legacy_decisions;
+          framed_decisions := df :: !framed_decisions;
           if df.accepted <> dl.accepted || not (Float.equal df.lambda dl.lambda)
           then
             QCheck.Test.fail_reportf
@@ -938,51 +949,40 @@ let prop_framework_instantiation_matches_pd =
       else if not (Float.equal cfg cf) then
         QCheck.Test.fail_reportf "cost %.17g (framework gc) vs %.17g" cfg cf
       else if
-        not
-          (Float.equal (Pd.certificate legacy) (FCore.certificate framed))
+        let g = Pd.certificate ~power:inst.power ~machines:inst.machines in
+        not (Float.equal (g !legacy_decisions) (g !framed_decisions))
       then
         QCheck.Test.fail_reportf "certificate drifted between Pd and framework"
       else true)
 
-(* The gc'd certificate fails with the documented typed error (the
-   former bare Invalid_argument), and the _result variant reports how
-   much history is gone. *)
-let test_gc_history_typed_error () =
-  let pd = Pd.create ~gc:true ~power:p2 ~machines:1 () in
-  for i = 0 to 99 do
-    let r = float_of_int i in
-    ignore (Pd.arrive pd (mk_job ~id:i ~r ~d:(r +. 0.5) ~w:0.5 ~v:50.0 ()))
-  done;
-  let m = Pd.mem pd in
-  Alcotest.(check bool) "gc flushed something" true (m.flushed_intervals > 0);
-  (match Pd.certificate_result pd with
-  | Ok _ -> Alcotest.fail "certificate_result succeeded on a gc state"
-  | Error e ->
-    Alcotest.(check string) "operation" "Pd.certificate" e.operation;
-    Alcotest.(check int) "flushed count" m.flushed_intervals
-      e.flushed_intervals;
-    Alcotest.(check int) "evicted count" m.evicted_jobs e.evicted_jobs);
-  (* the exception-style entry point raises the typed exception (not a
-     bare Invalid_argument), and it is Pd_core's exception rebound *)
-  (try
-     ignore (Pd.certificate pd);
-     Alcotest.fail "certificate did not raise"
-   with
-  | Pd.Bounded_memory e ->
-    Alcotest.(check string) "raised operation" "Pd.certificate" e.operation
-  | Invalid_argument _ -> Alcotest.fail "certificate raised Invalid_argument");
-  (try
-     ignore (Pd.certificate pd);
-     Alcotest.fail "certificate did not raise"
-   with Pd_core.Bounded_memory e ->
-     Alcotest.(check string) "same exception via Pd_core" "Pd.certificate"
-       e.operation);
-  (* a full-history state keeps the certificate available *)
-  let full = Pd.create ~power:p2 ~machines:1 () in
-  ignore (Pd.arrive full (mk_job ~id:0 ~r:0.0 ~d:1.0 ~w:1.0 ~v:50.0 ()));
-  match Pd.certificate_result full with
-  | Ok g -> Alcotest.(check bool) "certificate positive" true (g > 0.0)
-  | Error _ -> Alcotest.fail "certificate_result failed without gc"
+(* The certificate reads only the decisions, so a gc state — the
+   configuration Online.pd runs — certifies too: on a stream long enough
+   that gc flushes most of the timeline, Theorem 3 holds, and g is the
+   same bits as the full-history run's. *)
+let test_gc_certificate () =
+  let inst =
+    Speedscale_workload.Generate.diurnal ~power:p3 ~machines:8 ~seed:1
+      ~n:3000 ()
+  in
+  let certify ~gc =
+    let pd = Pd.create ~gc ~power:inst.power ~machines:inst.machines () in
+    let decisions = Array.to_list (Array.map (Pd.arrive pd) inst.jobs) in
+    let cost = Cost.total (Schedule.cost inst (Pd.schedule pd)) in
+    let g = Pd.certificate ~power:inst.power ~machines:inst.machines in
+    (pd, cost, g decisions)
+  in
+  let pd, cost, g = certify ~gc:true in
+  Alcotest.(check bool) "gc flushed something" true
+    ((Pd.mem pd).flushed_intervals > 0);
+  let rhs = Power.competitive_bound inst.power *. g in
+  Alcotest.(check bool)
+    (Printf.sprintf "cost %.9g <= alpha^alpha * g = %.9g" cost rhs)
+    true
+    (cost <= rhs +. (1e-6 *. (1.0 +. Float.abs rhs)));
+  let _, _, g_full = certify ~gc:false in
+  Alcotest.(check bool)
+    (Printf.sprintf "g %.17g (gc) = %.17g (no gc)" g g_full)
+    true (Float.equal g g_full)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -1031,8 +1031,7 @@ let () =
       ( "framework",
         [
           q prop_framework_instantiation_matches_pd;
-          Alcotest.test_case "gc history typed error" `Quick
-            test_gc_history_typed_error;
+          Alcotest.test_case "gc certificate" `Quick test_gc_certificate;
         ] );
       ( "theorem3",
         [

@@ -68,6 +68,19 @@ let test_moa_single_event_equals_opt () =
   Alcotest.(check (float 1e-2))
     "matches Mopt" (Mopt.energy inst) (Moa.energy inst)
 
+(* `psched generate --preset datacenter -m 8 --seed 2024 -n 60`: the
+   replanned schedule leaves 2e-9 of job 24's work unexecuted at its
+   deadline, above the remaining-work dust cut, and mOA used to build a
+   view of that job released after its deadline (Job.make raised). *)
+let test_moa_datacenter_past_deadline_dust () =
+  let inst =
+    Speedscale_workload.Generate.datacenter ~power:p3 ~machines:8 ~seed:2024
+      ~n:60
+  in
+  match Schedule.validate inst (Moa.schedule inst) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "invalid mOA schedule: %s" e
+
 let gen_setup =
   QCheck.Gen.(
     let* machines = 1 -- 3 in
@@ -388,6 +401,8 @@ let () =
       ( "moa",
         [
           Alcotest.test_case "single event" `Quick test_moa_single_event_equals_opt;
+          Alcotest.test_case "datacenter past-deadline dust" `Quick
+            test_moa_datacenter_past_deadline_dust;
           q prop_moa_feasible_and_bounded;
         ] );
       ( "mavr",
