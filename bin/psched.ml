@@ -417,13 +417,15 @@ let run_sharded ~engine ~delta ~shards:k ~workers ~snapshot_dir
       | s -> s
       | exception Invalid_argument msg -> Io.fail ~line "%s" msg)
   in
-  let arrive s ~line (j : Job.t) =
+  let arrive s ~line:_ (j : Job.t) =
     (* A restored service replays nothing: the checkpoint already holds
        the first [seq] arrivals, so this run just skips them. *)
     if j.id >= Service.seq s then begin
-      (match Service.submit s j with
-      | evs -> emit evs
-      | exception e -> Io.fail ~line "%s" (Printexc.to_string e));
+      (* An engine's refusal may surface at a later arrival's submit (or
+         at drain) when the shards run on worker domains, so it carries
+         no line number: it reaches [with_input] as it is, the same at
+         every worker and CPU count. *)
+      emit (Service.submit s j);
       let seq = Service.seq s in
       (match snapshot_dir with
       | Some dir when snapshot_every > 0 && seq mod snapshot_every = 0 ->
@@ -551,7 +553,11 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "workers" ]
-          ~doc:"Worker domains (default: one per shard).")
+          ~doc:
+            "Worker domains (default: one per shard, at most one fewer \
+             than the CPUs this process may use, at least 1).  With one \
+             worker on a one-CPU process the shards run inline on the \
+             submitting domain and no worker domain is spawned.")
   in
   let snapshot_dir =
     Arg.(

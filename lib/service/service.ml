@@ -63,6 +63,18 @@ end
 (* The service                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Where the shards' tasks run.  [Inline] runs each task on the calling
+   domain, inside the call that submits it: with one worker and one CPU,
+   a worker domain would only take turns with the submitting thread on
+   that CPU, paying two futex wake-ups and two context switches through
+   Pool's mutex and condition variables per closed-loop decision.
+   Spin-then-park in Pool was rejected for that case: on one CPU a
+   spinning waiter burns the time slice the worker needs.  With a second
+   CPU the worker domain overlaps the caller's parse and emit, so
+   [Pooled] stays the mode whenever the process may use more than one
+   CPU. *)
+type exec = Inline of { mutable closed : bool } | Pooled of Pool.t
+
 type t = {
   eng : Online.engine;
   k : int;
@@ -70,8 +82,9 @@ type t = {
   route : Job.t -> int -> int;
   shards : Online.t array;
       (* slot [s] is owned by whichever domain currently serves queue
-         [s]; the merging thread touches it only after Pool.quiesce *)
-  pool : Pool.t;
+         [s] (inline: the calling one); the merging thread touches it
+         only after Pool.quiesce *)
+  exec : exec;
   outs : (int * (Online.decision, exn) result) Outq.t array;
   pending : (int * int) Queue.t;  (* (seq, shard), submission order *)
   mutable next_seq : int;
@@ -79,17 +92,59 @@ type t = {
 }
 
 let shards t = t.k
-let workers t = Pool.workers t.pool
+let workers t = match t.exec with Inline _ -> 1 | Pooled p -> Pool.workers p
 let seq t = t.next_seq
 let engine t = t.eng
 let shard_params t i = Online.params_of t.shards.(i)
 let shard_of t j = t.route j t.k
-let worker_of t ~shard = Pool.worker_of t.pool ~queue:shard
+
+let check_shard fn t shard =
+  if shard < 0 || shard >= t.k then
+    invalid_arg (Fmt.str "Service.%s: bad shard %d" fn shard)
+
+let worker_of t ~shard =
+  match t.exec with
+  | Inline _ ->
+    check_shard "worker_of" t shard;
+    0
+  | Pooled p -> Pool.worker_of p ~queue:shard
+
+(* Inline, a minor collection runs inside the [submit] that triggers it.
+   PD's are dear: on a diurnal shard of 4 machines, Runtime_events read
+   ~70 us of minor GC (mostly the remembered set its interval records
+   build up) and ~95 us of major slice per collection.  At OCaml's
+   default 256k-word minor heap that shard collects every ~200 arrivals,
+   on 0.5% of decisions, and host preemptions slow another 0.2-0.5%.  So
+   the closed-loop p99 sat where those meet PD's own tail, and read
+   20-40 us in one round and 50-77 us in the next as the host's noise
+   went.  Twice the default heap halves the pause rate, and the p99
+   reads PD's tail; each pause doubles, to about what one collection
+   cost on the pool path (~220 us, with two domains to stop).  The
+   calling domain's heap is only ever grown. *)
+let inline_minor_heap_words = 1 lsl 19
+
+let grow_minor_heap () =
+  let g = Gc.get () in
+  if g.minor_heap_size < inline_minor_heap_words then
+    Gc.set { g with minor_heap_size = inline_minor_heap_words }
 
 let make ?workers ?queue_cap ?(shard_fn = default_shard_fn) ~engine
     ~next_seq states =
   let k = Array.length states in
-  let workers = match workers with Some w -> w | None -> k in
+  let cpus = Domain.recommended_domain_count () in
+  let workers =
+    match workers with Some w -> w | None -> max 1 (min k (cpus - 1))
+  in
+  (match queue_cap with
+  | Some c when c < 1 -> invalid_arg "Service: queue_cap must be >= 1"
+  | _ -> ());
+  let exec =
+    if workers = 1 && cpus = 1 then begin
+      grow_minor_heap ();
+      Inline { closed = false }
+    end
+    else Pooled (Pool.create ?queue_cap ~workers ~queues:k ())
+  in
   let tag, route = shard_fn in
   {
     eng = engine;
@@ -97,7 +152,7 @@ let make ?workers ?queue_cap ?(shard_fn = default_shard_fn) ~engine
     tag;
     route;
     shards = states;
-    pool = Pool.create ?queue_cap ~workers ~queues:k ();
+    exec;
     outs = Array.init k (fun _ -> Outq.create ());
     pending = Queue.create ();
     next_seq;
@@ -174,11 +229,16 @@ let poll t =
   flush t
 
 (* Place one task on a shard's ingest queue, draining the merged stream
-   into [ready_rev] whenever the queue is full (backpressure). *)
+   into [ready_rev] whenever the queue is full (backpressure).  Inline,
+   the task runs here, before the caller records it as pending. *)
 let submit_task t s task =
-  while not (Pool.submit t.pool ~queue:s task) do
-    ignore (emit_block t)
-  done
+  match t.exec with
+  | Inline { closed = true } -> invalid_arg "Service: service is shut down"
+  | Inline _ -> task ()
+  | Pooled p ->
+    while not (Pool.submit p ~queue:s task) do
+      ignore (emit_block t)
+    done
 
 let submit t j =
   let s = t.route j t.k in
@@ -254,14 +314,18 @@ let checkpoint t ~dir =
    before the new domain's reads).  So moving the queue moves the shard,
    in O(1) whatever its history. *)
 let migrate t ~shard ~worker =
-  if shard < 0 || shard >= t.k then
-    invalid_arg (Fmt.str "Service.migrate: bad shard %d" shard);
-  Pool.assign t.pool ~queue:shard ~worker
+  check_shard "migrate" t shard;
+  match t.exec with
+  | Inline _ ->
+    if worker <> 0 then
+      invalid_arg (Fmt.str "Service.migrate: bad worker index %d" worker)
+  | Pooled p -> Pool.assign p ~queue:shard ~worker
 
 (* ---------------- end of stream ---------------- *)
 
 let finalize t =
-  Pool.quiesce t.pool;
+  (match t.exec with Inline _ -> () | Pooled p -> Pool.quiesce p);
   Array.map Online.finalize t.shards
 
-let shutdown t = Pool.shutdown t.pool
+let shutdown t =
+  match t.exec with Inline r -> r.closed <- true | Pooled p -> Pool.shutdown p

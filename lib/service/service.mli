@@ -6,7 +6,9 @@
     that hash-partitions arriving jobs across [k] independent engine
     instances ({e shards}), runs the shards on OCaml 5 domains through
     the persistent {!Speedscale_obs.Pool} (per-shard ingest queues,
-    batched dequeue), and merges the per-shard decisions back into one
+    batched dequeue) — or, with one worker in a process that may use
+    one CPU, inline on the calling domain — and merges the per-shard
+    decisions back into one
     {e deterministic} stream: events are emitted in global arrival order,
     and every decision is a pure function of its shard's arrival
     subsequence, so the merged stream is byte-identical run over run —
@@ -57,12 +59,27 @@ val create :
   unit ->
   t
 (** [create ~engine ~params ~shards ()] starts [shards] engine instances
-    (shard [i] gets [params i]) on a fresh worker pool.  [workers]
-    defaults to [shards]; [queue_cap] bounds each shard's ingest backlog
-    (default 1024) — {!submit} applies backpressure by draining finished
-    decisions while a queue is full.  The named [shard_fn] is recorded
-    in checkpoints; {!restore} refuses a manifest whose tag differs.
-    Raises [Invalid_argument] on [shards < 1] or inapplicable params. *)
+    (shard [i] gets [params i]).  [workers] defaults to
+    [max 1 (min shards (cpus - 1))], where [cpus] is
+    [Domain.recommended_domain_count ()] (the CPUs this process may use,
+    so [taskset] and one-CPU cgroups count).
+
+    With [workers = 1] and [cpus = 1] no domain is spawned: each shard's
+    task runs on the calling domain, inside {!submit} (inline mode).  A
+    worker domain there would only take turns with the caller on the one
+    CPU.  Inline, the engine's minor collections run inside {!submit}
+    too, so [create] grows the calling domain's minor heap to at least
+    512k words (4 MB; it never shrinks it): half as many collections
+    then land on a decision.  Otherwise the shards run on a fresh pool
+    of [workers] domains, and [queue_cap] bounds each shard's ingest
+    backlog (default 1024) — {!submit} applies backpressure by draining
+    finished decisions while a queue is full.  The merged stream is the
+    same in both modes.
+
+    The named [shard_fn] is recorded in checkpoints; {!restore} refuses
+    a manifest whose tag differs.  Raises [Invalid_argument] on
+    [shards < 1], [workers < 1], [queue_cap < 1] or inapplicable
+    params. *)
 
 val restore :
   ?workers:int ->
@@ -79,7 +96,9 @@ val restore :
     mismatch. *)
 
 val shards : t -> int
+
 val workers : t -> int
+(** Worker domains serving the shards; 1 in inline mode. *)
 
 val seq : t -> int
 (** Arrivals ingested so far, including those replayed into a restored
@@ -92,14 +111,17 @@ val shard_of : t -> Job.t -> int
 (** Where the partition function routes this job. *)
 
 val worker_of : t -> shard:int -> int
+(** The worker serving [shard]; always 0 in inline mode. *)
 
 val submit : t -> Job.t -> ev list
 (** Route one arrival to its shard and return any decisions that became
     emittable (possibly none — shards run asynchronously; possibly
-    several).  Jobs must be submitted in non-decreasing release order.
-    If the shard's engine rejects the job with an exception (duplicate
-    id, decreasing release), that exception re-surfaces here or at the
-    next drain point, in deterministic stream order. *)
+    several; inline, always this arrival's own decision).  Jobs must be
+    submitted in non-decreasing release order.  If the shard's engine
+    rejects the job with an exception (duplicate id, decreasing
+    release), that exception re-surfaces here or at a later drain point,
+    in deterministic stream order — inline, always here.  Raises
+    [Invalid_argument] after {!shutdown}. *)
 
 val poll : t -> ev list
 (** Non-blocking drain of every decision that is ready to emit. *)
@@ -121,11 +143,13 @@ val migrate : t -> shard:int -> worker:int -> unit
     the shard's arrivals still run one at a time and in order.  The
     merged decision stream is unaffected, and the cost does not depend
     on the shard's history.  No-op when the shard already lives on
-    [worker].  Raises [Invalid_argument] on a bad shard or worker
-    index. *)
+    [worker] (so always, in inline mode, for worker 0).  Raises
+    [Invalid_argument] on a bad shard or worker index. *)
 
 val finalize : t -> Schedule.t array
-(** Quiesce the pool and return each shard's final schedule. *)
+(** Quiesce the pool (inline: nothing to wait for) and return each
+    shard's final schedule. *)
 
 val shutdown : t -> unit
-(** Drain, stop the workers and join their domains.  Idempotent. *)
+(** Drain, stop the workers and join their domains (inline: only mark
+    the service shut, so later {!submit}s raise).  Idempotent. *)

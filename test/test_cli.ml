@@ -16,13 +16,24 @@ let psched =
   | Some p -> p
   | None -> "../bin/psched.exe"
 
-let run_capture args =
+(* Shell prefix pinning a command to the first CPU this process may use
+   (taskset, from util-linux): the child then sees one CPU, which is
+   what makes `serve --workers 1` run its shards inline. *)
+let pin_one_cpu =
+  "taskset -c \"$(taskset -pc $$ | sed 's/.*: *//; s/[-,].*//')\""
+
+(* Run psched with [args]; returns the exit code and what it wrote to
+   stdout and stderr, or to stderr alone with [~stderr_only:true]. *)
+let run_capture ?(pinned = false) ?(stderr_only = false) args =
   let out = Filename.temp_file "psched" ".out" in
+  let sink = Filename.quote out in
   let cmd =
-    Printf.sprintf "%s %s > %s 2>&1"
-      (Filename.quote psched)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out)
+    String.concat " "
+      ((if pinned then [ pin_one_cpu ] else [])
+      @ List.map Filename.quote (psched :: args)
+      @
+      if stderr_only then [ "2>" ^ sink; ">/dev/null" ]
+      else [ ">" ^ sink; "2>&1" ])
   in
   let code = Sys.command cmd in
   let ic = open_in out in
@@ -39,6 +50,12 @@ let contains text sub =
   let n = String.length text and k = String.length sub in
   let rec go i = i + k <= n && (String.sub text i k = sub || go (i + 1)) in
   k = 0 || go 0
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let write_file path text =
   let oc = open_out_bin path in
@@ -255,6 +272,37 @@ let test_batch_rejects_malformed () =
       check_one_line_exit_2 "run -a oa on m=2" [ "run"; path; "-a"; "oa" ]
         [ "psched run:"; "not applicable" ])
 
+(* The same refusal followed by 2998 accepted arrivals: on a worker
+   domain it surfaces at whichever later submit finds it, inline at its
+   own.  The diagnostic names no line, so it reads the same at every
+   worker and CPU count. *)
+let test_serve_refusal_line_stable () =
+  with_tmp_dir (fun dir ->
+      let file = Filename.concat dir "refused.txt" in
+      let b = Buffer.create 65536 in
+      Buffer.add_string b
+        "alpha 3\nmachines 1\njob 0 1 1 inf\njob 0.5 0.5000000000001 1 inf\n";
+      for i = 2 to 2999 do
+        Printf.bprintf b "job %d %d 0.5 1\n" i (i + 5)
+      done;
+      write_file file (Buffer.contents b);
+      let diagnostic ~pinned workers =
+        let code, err =
+          run_capture ~pinned ~stderr_only:true
+            [ "serve"; file; "--shards"; "1"; "--workers"; workers ]
+        in
+        Alcotest.(check int) ("--workers " ^ workers ^ ": exit 2") 2 code;
+        err
+      in
+      let one = diagnostic ~pinned:false "1" in
+      Alcotest.(check bool)
+        ("names the refusal: " ^ one) true
+        (String.starts_with ~prefix:"psched serve: Pd.arrive: job 1 " one
+        && List.length (String.split_on_char '\n' (String.trim one)) = 1);
+      Alcotest.(check string) "--workers 2" one (diagnostic ~pinned:false "2");
+      Alcotest.(check string) "pinned --workers 1" one
+        (diagnostic ~pinned:true "1"))
+
 (* ---------------- stream error paths ---------------- *)
 
 (* Malformed streams must die with a line-numbered one-liner on stderr
@@ -380,6 +428,25 @@ let check_kill_restore name ~straight ~sharded =
         full
         (prefix ^ "\n" ^ part2))
 
+(* The inline path writes the wire bytes the worker domains do: the
+   golden `serve --shards 2` output, pinned to one CPU. *)
+let test_serve_pinned_golden () =
+  with_tmp_dir (fun dir ->
+      let inst = Filename.concat dir "golden-inst.txt" in
+      let code, _ =
+        run_capture
+          [ "generate"; "--preset"; "datacenter"; "-n"; "200"; "-m"; "4";
+            "--seed"; "7"; "-o"; inst ]
+      in
+      Alcotest.(check int) "generate" 0 code;
+      let code, out =
+        run_capture ~pinned:true
+          [ "serve"; inst; "--shards"; "2"; "--workers"; "1" ]
+      in
+      Alcotest.(check int) "pinned serve" 0 code;
+      Alcotest.(check bool) "equals test/serve_golden.json" true
+        (String.equal out (read_file "serve_golden.json")))
+
 let test_stream_kill_restore_byte_identical () =
   check_kill_restore "k=4" ~straight:[ "--shards"; "4" ]
     ~sharded:[ "--shards"; "4" ];
@@ -489,12 +556,6 @@ let run_slint args =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   (code, text)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* A throwaway scan root holding lib/fixture.ml with the given text (plus
    an interface so missing-mli stays quiet). *)
@@ -642,6 +703,8 @@ let () =
             test_unknown_algorithm_fails;
           Alcotest.test_case "malformed instances" `Quick
             test_batch_rejects_malformed;
+          Alcotest.test_case "serve refusal at any worker count" `Quick
+            test_serve_refusal_line_stable;
         ] );
       ( "stream",
         [
@@ -654,6 +717,8 @@ let () =
             test_stream_rejects_sharded_flags;
           Alcotest.test_case "machines < shards" `Quick
             test_stream_sharded_needs_machines;
+          Alcotest.test_case "pinned serve equals golden" `Quick
+            test_serve_pinned_golden;
           Alcotest.test_case "kill/restore byte-identical" `Quick
             test_stream_kill_restore_byte_identical;
           Alcotest.test_case "k=1 --snapshot-dir restores" `Quick

@@ -262,6 +262,117 @@ let test_service_migration_equivalence () =
     (List.filter (fun e -> Online.applicable e (params 0)) Online.all)
 
 (* ------------------------------------------------------------------ *)
+(* One worker: inline on a one-CPU process, one pool domain otherwise   *)
+(* ------------------------------------------------------------------ *)
+
+(* With one worker and one CPU (taskset, a one-CPU cgroup), Service runs
+   the shards on the calling domain.  test/dune runs this suite a second
+   time pinned to one CPU, so these cases check the inline path there
+   and the one-domain pool path on a multi-CPU run. *)
+let inline_expected () = Domain.recommended_domain_count () = 1
+
+let one_worker_service () =
+  let params _ = Online.params ~power:p3 ~machines:1 () in
+  let svc = Service.create ~workers:1 ~engine:Online.pd ~params ~shards:3 () in
+  Alcotest.(check int) "one worker" 1 (Service.workers svc);
+  svc
+
+let test_one_worker_submit_after_shutdown () =
+  let svc = one_worker_service () in
+  let jobs = jobs_of 20 ~machines:3 ~seed:4 in
+  ignore (feed svc jobs);
+  Service.shutdown svc;
+  Service.shutdown svc;
+  let late =
+    Job.make ~id:20 ~release:1e6 ~deadline:(1e6 +. 1.) ~workload:1.
+      ~value:1.
+  in
+  (match Service.submit svc late with
+  | _ -> Alcotest.fail "submit after shutdown must raise"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "seq unchanged" 20 (Service.seq svc)
+
+let test_one_worker_migrate () =
+  let jobs = jobs_of 60 ~machines:3 ~seed:11 in
+  let quiet = one_worker_service () in
+  let expected = feed quiet jobs in
+  Service.shutdown quiet;
+  let svc = one_worker_service () in
+  (match Service.migrate svc ~shard:0 ~worker:1 with
+  | () -> Alcotest.fail "worker 1 of one must be refused"
+  | exception Invalid_argument _ -> ());
+  (match Service.migrate svc ~shard:3 ~worker:0 with
+  | () -> Alcotest.fail "shard 3 of three must be refused"
+  | exception Invalid_argument _ -> ());
+  let evs =
+    List.concat
+      (List.mapi
+         (fun i j ->
+           let evs = Service.submit svc j in
+           Service.migrate svc ~shard:(i mod 3) ~worker:0;
+           Alcotest.(check int) "still worker 0" 0
+             (Service.worker_of svc ~shard:(i mod 3));
+           evs)
+         jobs)
+  in
+  let evs = evs @ Service.drain svc in
+  Service.shutdown svc;
+  check_ev_lists "migrate to worker 0" expected evs
+
+(* A duplicate id is refused by the engine inside the shard's task.
+   Inline, the refusal surfaces from that arrival's own submit; on a
+   worker domain it may surface there, at a later submit or at drain,
+   but never before the refused arrival is submitted. *)
+let test_one_worker_refusal_surfaces () =
+  let svc = one_worker_service () in
+  let jobs = jobs_of 40 ~machines:3 ~seed:6 in
+  let refused_at = 10 in
+  let stream =
+    List.filteri (fun i _ -> i < refused_at) jobs
+    @ [ List.nth jobs 9 ]
+    @ List.filteri (fun i _ -> i >= refused_at) jobs
+  in
+  (* the index of the submit that raised; the stream's length for drain *)
+  let rec surfaced i = function
+    | [] -> (
+      match Service.drain svc with
+      | _ -> None
+      | exception Invalid_argument m -> Some (i, m))
+    | j :: rest -> (
+      match Service.submit svc j with
+      | _ -> surfaced (i + 1) rest
+      | exception Invalid_argument m -> Some (i, m))
+  in
+  let surfaced = surfaced 0 stream in
+  Service.shutdown svc;
+  match surfaced with
+  | None -> Alcotest.fail "the duplicate id was not refused"
+  | Some (i, m) ->
+    Alcotest.(check bool) ("names the duplicate: " ^ m) true
+      (contains m "duplicate job id 9");
+    if inline_expected () then
+      Alcotest.(check int) "surfaces at its own submit" refused_at i
+    else
+      Alcotest.(check bool) "not before its own submit" true (i >= refused_at)
+
+(* Inline, the engine's minor collections run inside submit, so an
+   inline service grows the caller's minor heap to at least 512k words
+   and never shrinks it.  The pool path leaves the caller's heap alone. *)
+let test_one_worker_minor_heap () =
+  let heap () = (Gc.get ()).minor_heap_size in
+  let set w = Gc.set { (Gc.get ()) with minor_heap_size = w } in
+  let before = heap () in
+  set 4096;
+  Service.shutdown (one_worker_service ());
+  if inline_expected () then
+    Alcotest.(check int) "grown" (1 lsl 19) (heap ())
+  else Alcotest.(check int) "pool path leaves it" 4096 (heap ());
+  set (1 lsl 20);
+  Service.shutdown (one_worker_service ());
+  Alcotest.(check int) "never shrunk" (1 lsl 20) (heap ());
+  set before
+
+(* ------------------------------------------------------------------ *)
 (* Checkpoint-at-arbitrary-cut, for every registry engine               *)
 (* ------------------------------------------------------------------ *)
 
@@ -431,6 +542,15 @@ let () =
             test_service_worker_count_invariance;
           Alcotest.test_case "migration equivalence" `Quick
             test_service_migration_equivalence;
+        ] );
+      ( "one worker",
+        [
+          Alcotest.test_case "submit after shutdown" `Quick
+            test_one_worker_submit_after_shutdown;
+          Alcotest.test_case "migrate" `Quick test_one_worker_migrate;
+          Alcotest.test_case "refusal surfaces" `Quick
+            test_one_worker_refusal_surfaces;
+          Alcotest.test_case "minor heap" `Quick test_one_worker_minor_heap;
         ] );
       ( "checkpoint",
         [
