@@ -15,7 +15,7 @@
    structured record (schema: doc/BENCHMARKING.md). *)
 
 (* Left out of `quick` to keep the @bench-quick gate near 6 s: each took
-   2-5 s single-threaded on a 2-vCPU host, E26 about 90 s.  E24 (about
+   2-5 s single-threaded on a 2-vCPU host, E26 about 40 s.  E24 (about
    4 s) stays in because its verdict gates residency. *)
 let slow = [ "E8"; "E18"; "E19"; "E21"; "E22"; "E26" ]
 

@@ -286,133 +286,134 @@ let write_breakpoints t ~cap ~below buf pos =
   (* the z = s*l branch saturates *)
   keep buf !n ~lo ~hi (cap /. l)
 
-(* The sort behind [sort_unique]: introsort on a float array.  It is
-   monomorphic, so no comparison closure runs and no float is boxed
-   ([Array.sort] would box every element it compares), and it works in
-   place.  Quicksort with a median-of-three pivot does the work, ranges
-   of at most 16 entries are finished by insertion sort, and a range
-   still unsorted [2 log2 n] partitions down is heapsorted, which bounds
-   every input at O(n log n). *)
-let swap (a : float array) i j =
-  let x = a.(i) in
-  a.(i) <- a.(j);
-  a.(j) <- x
-
-let insertion_sort (a : float array) lo hi =
-  for i = lo + 1 to hi - 1 do
-    let x = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= lo && a.(!j) > x do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done
-
-(* Restore the max-heap below heap index [i] of the heap stored at
-   [a.(lo) .. a.(lo + n - 1)]. *)
-let rec sift_down (a : float array) lo i n =
-  let c = (2 * i) + 1 in
-  if c < n then begin
-    let c = if c + 1 < n && a.(lo + c + 1) > a.(lo + c) then c + 1 else c in
-    if a.(lo + c) > a.(lo + i) then begin
-      swap a (lo + i) (lo + c);
-      sift_down a lo c n
-    end
-  end
-
-let heap_sort (a : float array) lo hi =
-  let n = hi - lo in
-  for i = (n / 2) - 1 downto 0 do
-    sift_down a lo i n
-  done;
-  for last = n - 1 downto 1 do
-    swap a lo (lo + last);
-    sift_down a lo 0 last
-  done
-
-let rec intro_sort (a : float array) lo hi depth =
-  if hi - lo <= 16 then insertion_sort a lo hi
-  else if depth <= 0 then heap_sort a lo hi
-  else begin
-    let mid = lo + ((hi - lo) / 2) in
-    if a.(mid) < a.(lo) then swap a mid lo;
-    if a.(hi - 1) < a.(lo) then swap a (hi - 1) lo;
-    if a.(hi - 1) < a.(mid) then swap a (hi - 1) mid;
-    let pivot = a.(mid) in
-    (* Hoare partition: afterwards a.(lo..j) <= pivot <= a.(i..hi-1) *)
-    let i = ref lo and j = ref (hi - 1) in
-    while !i <= !j do
-      while a.(!i) < pivot do
-        incr i
-      done;
-      while a.(!j) > pivot do
-        decr j
-      done;
-      if !i <= !j then begin
-        swap a !i !j;
-        incr i;
-        decr j
-      end
-    done;
-    intro_sort a lo (!j + 1) (depth - 1);
-    intro_sort a !i hi (depth - 1)
-  end
-
-let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
-
-let sort_unique (a : float array) n =
-  intro_sort a 0 n (2 * log2 n);
-  let out = ref 0 in
-  for i = 0 to n - 1 do
-    let x = a.(i) in
-    if !out = 0 || not (Float.equal a.(!out - 1) x) then begin
-      a.(!out) <- x;
-      incr out
-    end
-  done;
-  !out
-
 let probe_breakpoints t ~cap =
   let buf = Array.make (breakpoint_capacity t) 0.0 in
   let n = write_breakpoints t ~cap ~below:Float.infinity buf 0 in
-  Array.sub buf 0 (sort_unique buf n)
+  Array.of_list
+    (List.sort_uniq Float.compare (Array.to_list (Array.sub buf 0 n)))
+
+(* Smallest [c] with [k <= 2^c]; [ceil_log2 (k + 1)] is the number of
+   steps an exact-median search needs to empty [k] candidates. *)
+let rec ceil_log2 k = if k <= 1 then 0 else 1 + ceil_log2 ((k + 1) / 2)
+
+let[@inline] median3 (a : float) b c =
+  if a < b then if b < c then b else if a < c then c else a
+  else if a < c then a
+  else if b < c then c
+  else b
+
+(* Selection instead of sorting: each step sweeps at one candidate, moves
+   the bracket end on its side there, and keeps only the candidates
+   strictly inside the bracket, so duplicates and the far side vanish
+   with no comparison sort.  The pivot is the median of the first,
+   middle and last survivors.  [steps + ceil_log2 (k + 1) <= budget]
+   holds throughout: while it is slack a median-of-3 step (which removes
+   at least the pivot) keeps it, and once it is tight the survivors are
+   sorted — compaction keeps them sorted — so that every later pivot is
+   the exact median, which leaves at most [k / 2] survivors and lowers
+   [ceil_log2 (k + 1)] by one. *)
+let bracket_crossing (buf : float array) n ~f ~target ~top ~f_top =
+  let budget = 2 * ceil_log2 (n + 1) in
+  let k = ref n and steps = ref 0 and sorted = ref false in
+  let sa = ref Float.neg_infinity and fa = ref 0.0 in
+  let sb = ref top and fb = ref f_top in
+  while !k > 0 do
+    if (not !sorted) && !steps + ceil_log2 (!k + 1) >= budget then begin
+      let a = Array.sub buf 0 !k in
+      Array.sort Float.compare a;
+      Array.blit a 0 buf 0 !k;
+      sorted := true
+    end;
+    let p =
+      if !sorted then buf.(!k / 2)
+      else median3 buf.(0) buf.(!k / 2) buf.(!k - 1)
+    in
+    let fp = f p in
+    incr steps;
+    if fp >= target then begin
+      sb := p;
+      fb := fp
+    end
+    else begin
+      sa := p;
+      fa := fp
+    end;
+    let lo = !sa and hi = !sb in
+    let kept = ref 0 in
+    for i = 0 to !k - 1 do
+      let c = buf.(i) in
+      if c > lo && c < hi then begin
+        buf.(!kept) <- c;
+        incr kept
+      end
+    done;
+    k := !kept
+  done;
+  (!sa, !fa, !sb, !fb)
 
 let marginal_power power t = Power.deriv power (probe_speed_zero t)
 
-let slices t ~t0 ~t1 =
+(* A partition realized on a window has [d] dedicated slices and at most
+   two per pool job: McNaughton's rule wraps a job at most once. *)
+let slice_capacity t =
+  let p = Array.length t.loads and d = t.n_dedicated in
+  d + (2 * (p - d))
+
+let slice_words = 5
+
+(* One slice record at slot [n]: proc, t0, t1, job, speed.  Inlined at
+   every call site, so no float is boxed. *)
+let[@inline always] put (buf : float array) n ~proc ~t0 ~t1 ~job ~speed =
+  let o = slice_words * n in
+  buf.(o) <- float_of_int proc;
+  buf.(o + 1) <- t0;
+  buf.(o + 2) <- t1;
+  buf.(o + 3) <- float_of_int job;
+  buf.(o + 4) <- speed;
+  n + 1
+
+let write_slice buf n (sl : Schedule.slice) =
+  ignore
+    (put buf n ~proc:sl.proc ~t0:sl.t0 ~t1:sl.t1 ~job:sl.job ~speed:sl.speed)
+
+let read_slice (buf : float array) n : Schedule.slice =
+  let o = slice_words * n in
+  {
+    proc = int_of_float buf.(o);
+    t0 = buf.(o + 1);
+    t1 = buf.(o + 2);
+    job = int_of_float buf.(o + 3);
+    speed = buf.(o + 4);
+  }
+
+(* A pool piece [[lo, hi)] of the window starting at [t0]; slivers below
+   the guard tolerance are dropped. *)
+let[@inline always] put_pool buf n ~l ~t0 ~proc ~lo ~hi ~job ~speed =
+  if hi -. lo > Feq.tol_guard *. (1.0 +. l) then
+    put buf n ~proc ~t0:(t0 +. lo) ~t1:(t0 +. hi) ~job ~speed
+  else n
+
+let write_slices t ~t0 ~t1 buf pos =
   if not (Feq.approx (t1 -. t0) t.length) then
     invalid_arg
-      (Fmt.str "Chen.slices: window [%g,%g) has length %g, expected %g"
+      (Fmt.str "Chen.write_slices: window [%g,%g) has length %g, expected %g"
          t0 t1 (t1 -. t0) t.length);
   let d = t.n_dedicated in
-  let dedicated =
-    List.init d (fun i ->
-        {
-          Schedule.proc = i;
-          t0;
-          t1;
-          job = t.ids.(i);
-          speed = t.loads.(i) /. t.length;
-        })
-  in
-  let _, pool_procs, pool_speed = pool_stats t in
-  if pool_procs <= 0 || pool_speed <= 0.0 then dedicated
-  else begin
+  let n = ref pos in
+  for i = d - 1 downto 0 do
+    n :=
+      put buf !n ~proc:i ~t0 ~t1 ~job:t.ids.(i)
+        ~speed:(t.loads.(i) /. t.length)
+  done;
+  (* with a pool processor left, the marginal speed is the pool speed *)
+  let pool_speed = if d < t.machines then probe_speed_zero t else 0.0 in
+  if pool_speed > 0.0 then begin
     (* McNaughton wrap-around on processors d .. m-1: valid because every
        pool load is at most pool_speed * length. *)
     let l = t.length in
-    let acc = ref dedicated in
     let proc = ref d and offset = ref 0.0 in
-    let emit p lo hi id =
-      if hi -. lo > Feq.tol_guard *. (1.0 +. l) then
-        acc :=
-          { Schedule.proc = p; t0 = t0 +. lo; t1 = t0 +. hi; job = id;
-            speed = pool_speed }
-          :: !acc
-    in
     for i = d to Array.length t.loads - 1 do
-      let id = t.ids.(i) in
+      let job = t.ids.(i) in
       let dur = t.loads.(i) /. pool_speed in
       let cap = l -. !offset in
       let last_proc = !proc >= t.machines - 1 in
@@ -421,7 +422,9 @@ let slices t ~t0 ~t1 =
            claim an overflow of order 1e-9*l — squeeze it in, the work
            tolerance absorbs it) *)
         let dur = Float.min dur cap in
-        emit !proc !offset (!offset +. dur) id;
+        n :=
+          put_pool buf !n ~l ~t0 ~proc:!proc ~lo:!offset ~hi:(!offset +. dur)
+            ~job ~speed:pool_speed;
         offset := !offset +. dur;
         if l -. !offset <= Feq.tol_snap *. l && not last_proc then begin
           incr proc;
@@ -429,14 +432,29 @@ let slices t ~t0 ~t1 =
         end
       end
       else begin
-        emit !proc !offset l id;
+        n :=
+          put_pool buf !n ~l ~t0 ~proc:!proc ~lo:!offset ~hi:l ~job
+            ~speed:pool_speed;
         let rest = dur -. cap in
         incr proc;
         (* the wrapped piece ends before the first piece started, so the
            job never runs on two processors at once *)
-        emit !proc 0.0 rest id;
+        n :=
+          put_pool buf !n ~l ~t0 ~proc:!proc ~lo:0.0 ~hi:rest ~job
+            ~speed:pool_speed;
         offset := rest
       end
-    done;
-    !acc
-  end
+    done
+  end;
+  !n
+
+(* The records come out in the reverse of the list's order, so consing
+   them front to back builds it. *)
+let slices t ~t0 ~t1 =
+  let buf = Array.make (slice_words * slice_capacity t) 0.0 in
+  let n = write_slices t ~t0 ~t1 buf 0 in
+  let acc = ref [] in
+  for i = 0 to n - 1 do
+    acc := read_slice buf i :: !acc
+  done;
+  !acc

@@ -101,11 +101,12 @@ val probe_breakpoints : t -> cap:float -> float array
     [s_1 = probe_speed t 0], and equal to [cap] at [s_B] (and beyond).  A
     superset of the true kinks of [g] — spurious interior entries are
     allowed — with at most {!breakpoint_capacity} entries.  [cap] must be
-    positive.  This is {!write_breakpoints} into a fresh array followed by
-    {!sort_unique}; PD's water-filling calls those two directly on one
-    scratch buffer for its whole window, so that between two adjacent
-    merged breakpoints the total work a new job would commit is a sum of
-    affine functions and the finishing price falls out of one linear
+    positive.  This is {!write_breakpoints} into a fresh array, sorted and
+    deduplicated.  PD's water-filling writes every window interval's
+    candidates into one scratch buffer instead and finds its crossing
+    segment there with {!bracket_crossing}: between two adjacent merged
+    breakpoints the total work a new job would commit is a sum of affine
+    functions, so the finishing price falls out of one linear
     interpolation instead of a blind bisection. *)
 
 val breakpoint_capacity : t -> int
@@ -123,12 +124,28 @@ val write_breakpoints :
     {!breakpoint_capacity} entries past [pos]; nothing is allocated.
     [cap] must be positive. *)
 
-val sort_unique : float array -> int -> int
-(** [sort_unique a n] sorts [a.(0) .. a.(n-1)] ascending in place, moves
-    the distinct values to the front and returns their count.  The
-    entries must not be NaN.  Introsort without allocation: quicksort
-    until [2 log2 n] partitions deep, then heapsort, so O(n log n) on
-    every input; ranges of at most 16 entries are insertion-sorted. *)
+val bracket_crossing :
+  float array ->
+  int ->
+  f:(float -> float) ->
+  target:float ->
+  top:float ->
+  f_top:float ->
+  float * float * float * float
+(** [bracket_crossing buf n ~f ~target ~top ~f_top] finds where a
+    nondecreasing [f] crosses [target] among the candidates [buf.(0) ..
+    buf.(n-1)] — unsorted, possibly repeated, finite and below [top] —
+    and [top] itself, where [f_top = f top >= target].  It returns
+    [(sa, fa, sb, fb)]: [sb] is the smallest of them with [f sb >=
+    target], [sa] the largest candidate below [sb] (so [f sa < target]),
+    and [fa], [fb] their [f] values.  When no candidate lies below [sb],
+    [sa] is [neg_infinity] and [fa] is [0].  The result is the adjacent
+    pair a binary search over the sorted, deduplicated candidates would
+    bracket, found by selection: each step calls [f] once at a pivot and
+    drops every candidate outside the new bracket.  [f] is called at most
+    [2 ceil(log2 (n + 1))] times, never at [top] and never twice at one
+    value, and every returned [f] value comes from one of those calls.
+    [buf]'s first [n] entries are overwritten. *)
 
 val marginal_power : Power.t -> t -> float
 (** [P'_α(probe_speed t 0)] — the marginal energy cost per unit of load a
@@ -138,4 +155,28 @@ val slices : t -> t0:float -> t1:float -> Schedule.slice list
 (** Realize the partition on the concrete time window [[t0, t1)] (whose
     width must equal the interval length): dedicated job [i] on processor
     [i]; pool jobs wrapped across processors [d..m-1] by McNaughton's rule,
-    which is valid because every pool load is at most [pool_speed * l]. *)
+    which is valid because every pool load is at most [pool_speed * l].
+    The list holds the pool slices, last emitted first, then the
+    dedicated ones in processor order: the reverse of {!write_slices}. *)
+
+val slice_capacity : t -> int
+(** Upper bound on the slices one {!write_slices} call writes: [d + 2 (p -
+    d)] for [p] stored loads, [d] of them dedicated. *)
+
+val slice_words : int
+(** Floats per slice record in a slice buffer: processor, start, end, job
+    id and speed, so slot [i] is [buf.(5 i) .. buf.(5 i + 4)].  Ids
+    round-trip exactly while [|id| < 2^53]. *)
+
+val write_slice : float array -> int -> Schedule.slice -> unit
+(** [write_slice buf i sl] stores [sl] in slot [i]. *)
+
+val read_slice : float array -> int -> Schedule.slice
+(** [read_slice buf i] is the slice stored in slot [i]. *)
+
+val write_slices : t -> t0:float -> t1:float -> float array -> int -> int
+(** [write_slices t ~t0 ~t1 buf pos] writes {!slices}' slices into [buf]
+    from slot [pos] on and returns the next free slot.  The order is the dedicated slices from processor
+    [d - 1] down to [0], then the pool slices as McNaughton's rule emits
+    them.  [buf] needs room for {!slice_capacity} slots past [pos];
+    nothing is allocated. *)

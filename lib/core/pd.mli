@@ -21,10 +21,13 @@
     [s(μ) = P'^{-1}(μ / (δ w_j))]; the load interval [T_k] absorbs at that
     price is [Chen.probe_load_for_speed] — a closed form — so the final
     common price is the water-filling fixed point of a monotone assignment
-    function.  {!arrive} resolves it by sorting every window interval's
-    {!Chen.write_breakpoints} candidates into one list (the assignment is
-    affine between adjacent merged breakpoints) and interpolating inside the bracketing segment —
-    O(log breakpoints) window sweeps instead of the ~200 a blind bisection
+    function.  {!arrive} writes every window interval's
+    {!Chen.write_breakpoints} candidates into one unsorted buffer (the
+    assignment is affine between adjacent distinct candidates), selects
+    the segment holding the crossing with {!Chen.bracket_crossing} — no
+    sort; each step sweeps the window at one candidate and drops those
+    outside the new bracket — and interpolates inside it: O(log
+    breakpoints) window sweeps instead of the ~200 a blind bisection
     needs.  {!arrive_reference} keeps the pre-optimization outer bisection
     as a test oracle; both paths share the timeline, probe and bookkeeping
     code, so any divergence isolates the breakpoint walk.  See
@@ -84,7 +87,10 @@ type arrival_stats = {
       (** [Chen.probe_load_for_speed] evaluations spent on this arrival *)
   intervals : int;  (** atomic intervals in the job's window *)
   breakpoints : int;
-      (** merged breakpoint count ([0] on the reference path) *)
+      (** raw breakpoint candidates written for the crossing search, plus
+          one for its top (the value speed or a sentinel); repeats are
+          counted, since nothing is deduplicated ([0] on the reference
+          path) *)
   bisections : int;
       (** fallback bisections: [1] when the interpolated speed missed the
           target and [Bisect.monotone_inverse] ran inside the bracketing
@@ -105,7 +111,7 @@ type stats = {
   arrivals : int;
   probes : int;  (** cumulative probe evaluations *)
   intervals : int;  (** cumulative window sizes *)
-  breakpoints : int;  (** cumulative merged breakpoint counts *)
+  breakpoints : int;  (** cumulative [arrival_stats.breakpoints] *)
   bisections : int;  (** cumulative fallback bisections *)
 }
 

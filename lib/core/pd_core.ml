@@ -28,7 +28,9 @@ type arrival_stats = {
   accepted : bool;
   probes : int;  (** [Chen.probe_load_for_speed] evaluations this arrival *)
   intervals : int;  (** candidate intervals/slots in the job's window *)
-  breakpoints : int;  (** merged breakpoint count (0 on the reference path) *)
+  breakpoints : int;
+      (** raw breakpoint candidates plus one for the search's top (0 on
+          the reference path) *)
   bisections : int;
       (** fallback bisections inside the bracketing segment (0 on the
           reference path) *)
@@ -109,49 +111,51 @@ module Expiry = struct
     done
 end
 
-(* Flushed slices parked as a flat float array (stride 5: proc, t0, t1,
-   job, speed).  A soak-length stream retains millions of slices; kept as
-   a list of boxed records they dominate the major collector's marking
-   work and per-arrival wall time degrades with the length of the history
-   — a float array's contents are never scanned, so the accumulator is
-   GC-inert no matter how large it grows.  Ids round-trip exactly through
-   the float encoding (|id| < 2^53). *)
+(* Flushed slices parked as flat float arrays of [Chen]'s slice records.
+   A soak-length stream retains millions of slices; kept as a list of
+   boxed records they dominate the major collector's marking work and
+   per-arrival wall time degrades with the length of the history — a
+   float array's contents are never scanned, so the accumulator is
+   GC-inert no matter how large it grows. *)
 module Slab = struct
   (* Fixed-size chunks, newest first, rather than a growable array: a
      doubling realloc would copy the whole history (a multi-hundred-MB
      pause at soak sizes) and leave the old array as major-heap garbage. *)
-  let stride = 5
   let chunk_slices = 1 lsl 16
-  let chunk_words = stride * chunk_slices
 
-  type t = { mutable chunks_rev : float array list; mutable n : int }
+  type t = {
+    mutable chunks_rev : float array list;
+    mutable n : int;
+    (* one interval's slices on their way in, grown on first use *)
+    mutable stage : float array;
+  }
 
-  let create () = { chunks_rev = []; n = 0 }
+  let create () = { chunks_rev = []; n = 0; stage = [||] }
   let length s = s.n
 
-  let push s (sl : Schedule.slice) =
+  (* Claim the next record: its slot in the newest chunk. *)
+  let slot s =
     let i = s.n mod chunk_slices in
-    if i = 0 then s.chunks_rev <- Array.make chunk_words 0.0 :: s.chunks_rev;
-    let a = List.hd s.chunks_rev in
-    let o = stride * i in
-    a.(o) <- float_of_int sl.Schedule.proc;
-    a.(o + 1) <- sl.t0;
-    a.(o + 2) <- sl.t1;
-    a.(o + 3) <- float_of_int sl.job;
-    a.(o + 4) <- sl.speed;
-    s.n <- s.n + 1
+    if i = 0 then
+      s.chunks_rev <-
+        Array.make (Chen.slice_words * chunk_slices) 0.0 :: s.chunks_rev;
+    s.n <- s.n + 1;
+    i
 
-  (* In-order traversal; O(chunks) to find the start, so iterate chunk by
-     chunk when reading everything back. *)
-  let get_in a i : Schedule.slice =
-    let o = stride * i in
-    {
-      proc = int_of_float a.(o);
-      t0 = a.(o + 1);
-      t1 = a.(o + 2);
-      job = int_of_float a.(o + 3);
-      speed = a.(o + 4);
-    }
+  let push s sl =
+    let i = slot s in
+    Chen.write_slice (List.hd s.chunks_rev) i sl
+
+  let push_slices s c ~t0 ~t1 =
+    let w = Chen.slice_words in
+    let need = w * Chen.slice_capacity c in
+    if Array.length s.stage < need then
+      s.stage <- Array.make (Stdlib.max need (2 * Array.length s.stage)) 0.0;
+    let stage = s.stage in
+    for k = 0 to Chen.write_slices c ~t0 ~t1 stage 0 - 1 do
+      let i = slot s in
+      Array.blit stage (w * k) (List.hd s.chunks_rev) (w * i) w
+    done
 
   (* [fold f acc s] folds over the slices in push order. *)
   let fold f acc s =
@@ -162,7 +166,7 @@ module Slab = struct
         let first = c * chunk_slices in
         let limit = Stdlib.min chunk_slices (s.n - first) in
         for i = 0 to limit - 1 do
-          acc := f !acc (get_in a i)
+          acc := f !acc (Chen.read_slice a i)
         done)
       chunks;
     !acc
@@ -596,9 +600,7 @@ module Interval (O : OBJECTIVE) = struct
   let flush_slices t iv =
     match iv.loads with
     | [] -> ()
-    | _ ->
-      let slices = Chen.slices (chen t iv) ~t0:iv.lo ~t1:iv.hi in
-      List.iter (Slab.push t.finished) (List.rev slices)
+    | _ -> Slab.push_slices t.finished (chen t iv) ~t0:iv.lo ~t1:iv.hi
 
   let gc_flush t ~last_release =
     let continue = ref true in
@@ -699,26 +701,27 @@ module Interval (O : OBJECTIVE) = struct
       t.scratch <- Array.make (Int.max need (2 * Array.length t.scratch)) 0.0;
     t.scratch
 
-  (* Find the speed s_star with assigned s_star = w by walking the merged
-     breakpoint list: binary-search the first breakpoint whose assignment
-     reaches w, then interpolate inside the bracketing segment (assignment
-     is affine there, so the interpolation is exact up to rounding; a
-     bracketed bisection inside the segment is kept as a fallback).
+  (* Find the speed s_star with assigned s_star = w by bracketing it
+     between adjacent breakpoints, then interpolating inside the
+     bracketing segment (assignment is affine there, so the interpolation
+     is exact up to rounding; a bracketed bisection inside the segment is
+     kept as a fallback).
 
-     The list is every window interval's [Chen.write_breakpoints] output
-     in one scratch buffer, sorted and deduplicated once: the total
-     assigned work is affine between adjacent entries and zero at the
-     first.
+     The candidates are every window interval's [Chen.write_breakpoints]
+     output in one scratch buffer, unsorted and with repeats: the total
+     assigned work is affine between adjacent distinct entries and zero at
+     the smallest.  [Chen.bracket_crossing] selects the crossing segment
+     from them directly, and its sweeps already give f at both ends.
 
      [bound_s]: [Some s_v] caps the search at the job's value speed —
-     breakpoints at or above it are dropped and s_v ends the list, and
+     breakpoints at or above it are dropped and s_v tops the list, and
      [None] is returned when the assignment never reaches [w] below it,
      which the caller interprets as "the job finishes exactly as the price
      reaches its value".  With [bound_s = None] a sentinel past the global
      saturation breakpoint guarantees the crossing exists. *)
   let solve_speed t ~w probs ~bound_s =
     let below = match bound_s with Some sv -> sv | None -> Float.infinity in
-    let need = ref 1 in
+    let need = ref 0 in
     for i = 0 to Array.length probs - 1 do
       let _, _, p = probs.(i) in
       need := !need + Chen.breakpoint_capacity p
@@ -729,13 +732,18 @@ module Interval (O : OBJECTIVE) = struct
       let _, _, p = probs.(i) in
       raw := Chen.write_breakpoints p ~cap:w ~below bps !raw
     done;
-    let n = Chen.sort_unique bps !raw in
-    bps.(n) <-
-      (match bound_s with
+    let raw = !raw in
+    let top =
+      match bound_s with
       | Some sv -> sv
-      | None -> bps.(n - 1) *. (1.0 +. Feq.tol_loose));
-    let n = n + 1 in
-    t.breakpoints_last <- n;
+      | None ->
+        let hi = ref Float.neg_infinity in
+        for i = 0 to raw - 1 do
+          if bps.(i) > !hi then hi := bps.(i)
+        done;
+        !hi *. (1.0 +. Feq.tol_loose)
+    in
+    t.breakpoints_last <- raw + 1;
     let f s = assigned_at_speed t ~w probs s in
     (* Cancellation in the probe's closed form can make f at the exact
        saturation breakpoint evaluate a few ulp short of w; a strict >= w
@@ -743,20 +751,15 @@ module Interval (O : OBJECTIVE) = struct
        is meaningless.  Searching against w minus a whisker keeps the
        bracketing segment at (or before) the true crossing. *)
     let w_eff = w -. (Feq.tol_guard *. (1.0 +. w)) in
-    if f bps.(n - 1) < w_eff then None
+    let f_top = f top in
+    if f_top < w_eff then None
     else begin
-      (* smallest j with f bps.(j) >= w_eff; f is 0 at the first natural
-         breakpoint so the crossing segment has j >= 1 whenever one exists *)
-      let lo = ref 0 and hi = ref (n - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if f bps.(mid) >= w_eff then hi := mid else lo := mid + 1
-      done;
-      let j = !hi in
-      let sa = if j = 0 then 0.0 else bps.(j - 1) in
-      let fa = if j = 0 then 0.0 else f sa in
-      let sb = bps.(j) in
-      let fb = f sb in
+      let sa, fa, sb, fb =
+        Chen.bracket_crossing bps raw ~f ~target:w_eff ~top ~f_top
+      in
+      (* no candidate below the crossing: the segment starts at speed 0,
+         where nothing is assigned *)
+      let sa = if Float.is_finite sa then sa else 0.0 in
       if fb < w || fb -. fa <= 0.0 then
         (* the segment tops out within tolerance of w: its right endpoint
            is the crossing (either the saturation breakpoint under FP

@@ -55,7 +55,8 @@ type arrival_stats = {
   probes : int;  (** probe evaluations spent on this arrival *)
   intervals : int;  (** candidate intervals/slots in the job's window *)
   breakpoints : int;
-      (** merged breakpoint count ([0] on the reference path) *)
+      (** raw breakpoint candidates plus one for the search's top
+          (repeats counted; [0] on the reference path) *)
   bisections : int;
       (** fallback bisections inside the bracketing segment, when the
           interpolated speed missed the target ([0] on the reference
@@ -99,6 +100,13 @@ module Slab : sig
   val create : unit -> t
   val length : t -> int
   val push : t -> Schedule.slice -> unit
+
+  val push_slices :
+    t -> Speedscale_chen.Chen.t -> t0:float -> t1:float -> unit
+  (** [push_slices s c ~t0 ~t1] pushes [c]'s slices on [[t0, t1)] in
+      {!Speedscale_chen.Chen.write_slices} order — the reverse of
+      {!Speedscale_chen.Chen.slices} — with no slice record or list
+      built. *)
 
   val fold : ('a -> Schedule.slice -> 'a) -> 'a -> t -> 'a
   (** Folds in push order. *)

@@ -369,8 +369,11 @@ let prop_write_breakpoints_cut =
             QCheck.Test.fail_reportf "wrote outside [%d, %d) at %d" pos stop
               i)
         buf;
-      let written = Array.sub buf pos (stop - pos) in
-      let got = Array.sub written 0 (Chen.sort_unique written (stop - pos)) in
+      let got =
+        Array.of_list
+          (List.sort_uniq Float.compare
+             (Array.to_list (Array.sub buf pos (stop - pos))))
+      in
       let want =
         Array.of_list (List.filter (fun s -> s < below) (Array.to_list full))
       in
@@ -379,25 +382,58 @@ let prop_write_breakpoints_cut =
           (Array.length got) below (Array.length want);
       true)
 
-(* The introsort under [sort_unique] against the stdlib sort: values from
-   a small pool so duplicates abound, sizes on both sides of the
-   insertion-sort cutoff. *)
-let prop_sort_unique_matches_stdlib =
-  QCheck.Test.make ~name:"sort_unique = List.sort_uniq" ~count:500
-    QCheck.(list_of_size Gen.(0 -- 300) (map float_of_int (int_range (-40) 40)))
-    (fun xs ->
-      let xs = List.map (fun x -> x /. 4.0) xs in
-      let a = Array.of_list xs in
-      let n = Chen.sort_unique a (Array.length a) in
-      Array.to_list (Array.sub a 0 n) = List.sort_uniq Float.compare xs)
+(* [bracket_crossing] against a sort + binary search over the same
+   candidates, for a step [f] that is 0 below [thr] and 1 from it on,
+   with the target at 1/2.  Also checks the returned [f] values, that [f]
+   is never called twice at one value nor at [top], and the bound on
+   its calls: with the sweep at [top] they stay within
+   [2 ceil(log2 (n + 1)) + 2]. *)
+let check_bracket ~name (a : float array) thr =
+  let n = Array.length a in
+  let top = Array.fold_left Float.max 0.0 a +. 1.0 in
+  let f x = if x >= thr then 1.0 else 0.0 in
+  let seen = Hashtbl.create 16 in
+  let calls = ref 0 in
+  let counted x =
+    incr calls;
+    if Hashtbl.mem seen x || Float.equal x top then
+      Alcotest.failf "%s: f called again at %g" name x;
+    Hashtbl.add seen x ();
+    f x
+  in
+  let buf = Array.append a [| Float.nan |] in
+  let sa, fa, sb, fb =
+    Chen.bracket_crossing buf n ~f:counted ~target:0.5 ~top ~f_top:(f top)
+  in
+  let sorted =
+    Array.of_list (List.sort_uniq Float.compare (Array.to_list a) @ [ top ])
+  in
+  let lo = ref 0 and hi = ref (Array.length sorted - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if f sorted.(mid) >= 0.5 then hi := mid else lo := mid + 1
+  done;
+  let want_sb = sorted.(!hi) in
+  let want_sa = if !hi = 0 then Float.neg_infinity else sorted.(!hi - 1) in
+  let bits = Alcotest.(float 0.0) in
+  Alcotest.check bits (name ^ ": sa") want_sa sa;
+  Alcotest.check bits (name ^ ": sb") want_sb sb;
+  Alcotest.check bits (name ^ ": fa") (if !hi = 0 then 0.0 else f sa) fa;
+  Alcotest.check bits (name ^ ": fb") (f sb) fb;
+  let rec ceil_log2 k = if k <= 1 then 0 else 1 + ceil_log2 ((k + 1) / 2) in
+  let bound = (2 * ceil_log2 (n + 1)) + 2 in
+  if !calls + 1 > bound then
+    Alcotest.failf "%s: %d sweeps for %d candidates, bound %d" name
+      (!calls + 1) n bound
 
-(* Inputs that defeat the median-of-three pivot, so the quicksort phase
-   runs out of its [2 log2 n] partitions with more than 16 entries left
-   and the heapsort fallback sorts the rest (for n >= 40).  The shape is
-   what McIlroy's adversary ("A killer adversary for quicksort", 1999)
-   produces against this partition: even values on the even slots of the
-   first half, one repeated large value on its odd slots, the odd values
-   3, 5, ... from the middle on, and 1 last. *)
+(* Adversarial candidate orders: the median-of-3 killer (what McIlroy's
+   adversary, "A killer adversary for quicksort" (1999), builds against a
+   first/middle/last pivot and Hoare partition: even values on the even
+   slots of the first half, one repeated large value on its odd slots,
+   the odd values 3, 5, ... from the middle on, and 1 last), the same
+   idea replayed against this search ([selection_killer] below), sorted,
+   reversed, all equal and a few values repeated many times.  The threshold runs over every
+   distinct value and past both ends. *)
 let median_of_three_killer n =
   let h = n / 2 in
   Array.init n (fun i ->
@@ -406,17 +442,71 @@ let median_of_three_killer n =
          else if i = n - 1 then 1
          else (2 * (i - h)) + 3))
 
-let test_sort_unique_heapsort_path () =
+(* The order that defeats [bracket_crossing]'s own median-of-3 pivot
+   when the crossing lies above every candidate: built by replaying the
+   search, each step's first and middle survivors get the two smallest
+   values not yet given out, so the pivot is the second smallest
+   survivor and the step drops only two candidates.  Without the
+   exact-median fallback the search would take about n / 2 sweeps. *)
+let selection_killer n =
+  let a = Array.make n 0.0 in
+  let next = ref 0 in
+  let give i =
+    a.(i) <- float_of_int !next;
+    incr next
+  in
+  let rec go live =
+    match Array.of_list live with
+    | [||] -> ()
+    | arr ->
+      let first = arr.(0) and mid = arr.(Array.length arr / 2) in
+      give first;
+      if mid <> first then give mid;
+      go (List.filter (fun i -> i <> first && i <> mid) live)
+  in
+  go (List.init n Fun.id);
+  a
+
+let test_bracket_crossing_adversarial () =
+  let shapes n =
+    [
+      ("killer", median_of_three_killer n);
+      ("selection killer", selection_killer n);
+      ("sorted", Array.init n float_of_int);
+      ("reversed", Array.init n (fun i -> float_of_int (n - i)));
+      ("all equal", Array.make n 7.0);
+      ("duplicates", Array.init n (fun i -> float_of_int (i * 7919 mod 5)));
+    ]
+  in
   List.iter
     (fun n ->
-      let a = median_of_three_killer n in
-      let want = List.sort_uniq Float.compare (Array.to_list a) in
-      let k = Chen.sort_unique a n in
-      Alcotest.(check (list (float 0.0)))
-        (Printf.sprintf "n = %d" n)
-        want
-        (Array.to_list (Array.sub a 0 k)))
-    [ 40; 64; 100; 1000; 4096 ]
+      List.iter
+        (fun (shape, a) ->
+          let distinct = List.sort_uniq Float.compare (Array.to_list a) in
+          let stride = Int.max 1 (List.length distinct / 40) in
+          let thrs =
+            (-1.0 :: List.filteri (fun i _ -> i mod stride = 0) distinct)
+            @ [ 1e9 ]
+          in
+          List.iter
+            (fun thr ->
+              check_bracket
+                ~name:(Printf.sprintf "%s n=%d thr=%g" shape n thr)
+                (Array.copy a) thr)
+            thrs)
+        (shapes n))
+    [ 0; 1; 2; 3; 16; 40; 64; 100; 1000; 4096 ]
+
+let prop_bracket_crossing_random =
+  QCheck.Test.make ~name:"bracket_crossing = sort + binary search" ~count:500
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 300) (map float_of_int (int_range (-40) 40)))
+        (int_range (-42) 42))
+    (fun (xs, thr) ->
+      let a = Array.of_list (List.map (fun x -> x /. 4.0) xs) in
+      check_bracket ~name:"random" a (float_of_int thr /. 4.0);
+      true)
 
 let close_12 a b = Feq.approx ~atol:1e-12 ~rtol:1e-12 a b
 
@@ -598,9 +688,9 @@ let () =
             test_breakpoints_empty_interval;
           q prop_breakpoints_piecewise_affine;
           q prop_write_breakpoints_cut;
-          q prop_sort_unique_matches_stdlib;
-          Alcotest.test_case "sort_unique on median-of-3 killers" `Quick
-            test_sort_unique_heapsort_path;
+          Alcotest.test_case "bracket_crossing on adversarial orders" `Quick
+            test_bracket_crossing_adversarial;
+          q prop_bracket_crossing_random;
           q prop_add_load_matches_build;
           q prop_rescale_matches_build;
         ] );

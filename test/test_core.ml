@@ -633,10 +633,13 @@ let test_arrival_stats_observer () =
 
 (* Bit pins on wide windows.  Each case digests every decision's
    (accepted, lambda bits, planned-speed bits) of a bounded-memory PD run
-   over a preset stream, plus the cumulative work counters.  The
-   constants were recorded before the pricing path was made
-   allocation-free; any change to the breakpoint walk's float arithmetic
-   (summation order, breakpoint set, interpolation) moves the digest. *)
+   over a preset stream, plus the cumulative work counters.  The digests
+   were recorded before the pricing path was made allocation-free (the
+   m = 4 and datacenter m = 8 ones before the crossing segment was found
+   by selection instead of sorting); any change to the breakpoint walk's
+   float arithmetic (summation order, breakpoint set, interpolation)
+   moves them.  [probes] and [breakpoints] count sweeps and raw
+   candidates, so they move with the search order alone. *)
 let lambda_digest (inst : Instance.t) =
   let pd = Pd.create ~gc:true ~power:inst.power ~machines:inst.machines () in
   let b = Buffer.create (17 * Instance.n_jobs inst) in
@@ -660,20 +663,36 @@ let test_lambda_bit_pins () =
     [
       ( "diurnal m=8 seed 1",
         G.diurnal ~power:p3 ~machines:8 ~seed:1 ~n:3000 (),
-        "accepted=2911 probes=262099 intervals=20912 breakpoints=290861 "
+        "accepted=2911 probes=242611 intervals=20912 breakpoints=368816 "
         ^ "5a2fe80ca5443a827eb8c03995d11cd3" );
       ( "diurnal m=8 seed 2",
         G.diurnal ~power:p3 ~machines:8 ~seed:2 ~n:3000 (),
-        "accepted=2942 probes=259592 intervals=20545 breakpoints=288262 "
+        "accepted=2942 probes=239953 intervals=20545 breakpoints=364221 "
         ^ "786b60a6525f66aac4f10a863eb76260" );
       ( "datacenter m=2 seed 1",
         G.datacenter ~power:p3 ~machines:2 ~seed:1 ~n:3000,
-        "accepted=1608 probes=38394 intervals=6956 breakpoints=13796 "
+        "accepted=1608 probes=33242 intervals=6956 breakpoints=23565 "
         ^ "130ceae837f45e9720867d0eda58c087" );
       ( "datacenter m=2 seed 2",
         G.datacenter ~power:p3 ~machines:2 ~seed:2 ~n:3000,
-        "accepted=1588 probes=36309 intervals=6629 breakpoints=13476 "
+        "accepted=1588 probes=31253 intervals=6629 breakpoints=22730 "
         ^ "f673ba1cce0a3327a092767677380fcf" );
+      ( "diurnal m=4 seed 1",
+        G.diurnal ~power:p3 ~machines:4 ~seed:1 ~n:3000 (),
+        "accepted=2820 probes=112688 intervals=12095 breakpoints=108274 "
+        ^ "2fa5b5ef6af9186924731606f51be5cb" );
+      ( "diurnal m=4 seed 2",
+        G.diurnal ~power:p3 ~machines:4 ~seed:2 ~n:3000 (),
+        "accepted=2848 probes=107130 intervals=11510 breakpoints=106227 "
+        ^ "780d84958eeff829df8e086ac387e224" );
+      ( "datacenter m=8 seed 1",
+        G.datacenter ~power:p3 ~machines:8 ~seed:1 ~n:3000,
+        "accepted=1740 probes=166020 intervals=20941 breakpoints=247390 "
+        ^ "08e5c903acd6e39f1b9916592cea2293" );
+      ( "datacenter m=8 seed 2",
+        G.datacenter ~power:p3 ~machines:8 ~seed:2 ~n:3000,
+        "accepted=1727 probes=159511 intervals=20142 breakpoints=240966 "
+        ^ "c4fc93a660b745e04299c878f34c5a34" );
     ]
   in
   List.iter
@@ -685,11 +704,12 @@ let test_lambda_bit_pins () =
    [Pd.arrive] on a fixed diurnal m = 8 stream are a deterministic
    function of the code, so a ceiling catches any change that puts a
    boxed float, closure or per-interval array back on the hot path.  It
-   was 2053 words per arrival when recorded (OCaml 5.1, dune's default
-   profile) and 6506 before the pricing path stopped allocating; the
-   ceiling sits 20% above the recorded value.  What is left is named in
+   was 1488 words per arrival when recorded (OCaml 5.1, dune's default
+   profile), 2039 before the gc flush wrote slices straight into the
+   slab and 6506 before the pricing path stopped allocating; the ceiling
+   sits 20% above the recorded value.  What is left is named in
    doc/PERF.md ("Allocation on the pricing path"). *)
-let alloc_ceiling = 2450.0
+let alloc_ceiling = 1786.0
 
 let test_arrive_allocation_budget () =
   let inst =
@@ -711,6 +731,52 @@ let test_arrive_allocation_budget () =
        alloc_ceiling)
     true
     (per_arrival <= alloc_ceiling)
+
+(* Sweep budget of the crossing search, on the allocation budget's
+   stream.  A window sweep costs one probe per window interval, so
+   [probes / intervals] is an arrival's sweep count: one at the value
+   speed, one at the top of the search, the search's pivots (at most
+   [2 ceil(log2 (raw + 1))] for [raw] candidates, and [breakpoints] is
+   [raw + 1]), one check of the interpolated speed and one commit.  The
+   mean was 80.9 probes per arrival when recorded (87.4 while the
+   breakpoints were sorted and binary-searched, with two more sweeps at
+   the bracket ends) and the largest count 19 sweeps; both caps sit 10%
+   above.  A pivot rule that keeps every lambda bit but sweeps more fails
+   here. *)
+let mean_probes_cap = 89.0
+let max_sweeps_cap = 21
+
+let test_arrive_sweep_budget () =
+  let inst =
+    Speedscale_workload.Generate.diurnal ~power:p3 ~machines:8 ~seed:1
+      ~n:3000 ()
+  in
+  let pd = Pd.create ~gc:true ~power:inst.power ~machines:inst.machines () in
+  let rec ceil_log2 k = if k <= 1 then 0 else 1 + ceil_log2 ((k + 1) / 2) in
+  let probes = ref 0 and max_sweeps = ref 0 in
+  Pd.set_observer pd
+    (Some
+       (fun (s : Pd.arrival_stats) ->
+         probes := !probes + s.probes;
+         if s.intervals > 0 then begin
+           let sweeps = s.probes / s.intervals in
+           max_sweeps := Int.max !max_sweeps sweeps;
+           if s.bisections = 0 && sweeps > (2 * ceil_log2 s.breakpoints) + 4
+           then
+             Alcotest.failf "job %d: %d sweeps over %d breakpoints" s.job_id
+               sweeps s.breakpoints
+         end));
+  Array.iter (fun j -> ignore (Pd.arrive pd j)) inst.jobs;
+  let mean = float_of_int !probes /. float_of_int (Instance.n_jobs inst) in
+  Printf.printf "probes per arrival: %.1f, most sweeps: %d\n" mean !max_sweeps;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f probes per arrival <= %.1f" mean mean_probes_cap)
+    true
+    (mean <= mean_probes_cap);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d sweeps at most <= %d" !max_sweeps max_sweeps_cap)
+    true
+    (!max_sweeps <= max_sweeps_cap)
 
 (* ------------------------------------------------------------------ *)
 (* Section 4 analysis machinery                                         *)
@@ -1019,6 +1085,7 @@ let () =
           Alcotest.test_case "lambda bit pins" `Quick test_lambda_bit_pins;
           Alcotest.test_case "allocation budget" `Quick
             test_arrive_allocation_budget;
+          Alcotest.test_case "sweep budget" `Quick test_arrive_sweep_budget;
           q prop_pd_paths_equivalent;
         ] );
       ( "gc",
