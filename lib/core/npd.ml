@@ -13,10 +13,6 @@ module O = Pd_core.Energy_value
    over the multipliers stays a valid certificate (non-preemptive
    schedules are a subset of the preemptive relaxation's). *)
 module Windows = struct
-  type obj = O.t
-
-  let name = "contiguous-slot booking"
-
   type slot = { s0 : float; s1 : float; job : int; speed : float }
 
   type t = {
@@ -119,7 +115,7 @@ module Windows = struct
   let price t (job : Job.t) ~reference:_ =
     t.probes_now <- 0;
     t.intervals_last <- 0;
-    let cap = O.acceptance_cap t.obj job in
+    let cap = job.value in
     match best_candidate t job with
     | None ->
       if Float.is_finite cap then Pd_core.Reject cap
@@ -172,7 +168,7 @@ module Windows = struct
     }
 end
 
-module Core = Pd_core.Make (O) (Windows)
+module Core = Pd_core.Make (Windows)
 
 type t = Core.t
 
@@ -184,23 +180,15 @@ type decision = Pd_core.decision = {
   assignment : (int * float) list;
 }
 
-let create ?clock ?delta ?(gc = false) ~power ~machines () =
-  Core.create ?clock ~gc ~err:"Npd"
+let create ?delta ?(gc = false) ~power ~machines () =
+  Core.create ~gc ~err:"Npd"
     (O.make ?delta ~err:"Npd.create" ~power ~machines ())
 
 let arrive = Core.arrive
 let schedule = Core.schedule
 let stats = Core.stats
 let mem = Core.mem
-let set_observer = Core.set_observer
 let certificate = Pd_core.certificate
-
-let slots t =
-  let r = Core.relax t in
-  List.init (Array.length r.Windows.booked) (fun i ->
-      List.map
-        (fun (s : Windows.slot) -> (s.s0, s.s1, s.job, s.speed))
-        r.Windows.booked.(i))
 
 type result = {
   schedule : Schedule.t;

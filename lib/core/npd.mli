@@ -35,7 +35,6 @@ type t
 (** Mutable online state. *)
 
 val create :
-  ?clock:(unit -> float) ->
   ?delta:float ->
   ?gc:bool ->
   power:Power.t ->
@@ -65,11 +64,6 @@ val arrive : t -> Job.t -> decision
 val schedule : t -> Schedule.t
 (** One slice per booked slot (plus the flushed accumulator under gc). *)
 
-val slots : t -> (float * float * int * float) list list
-(** Per machine, the live booked slots [(t0, t1, job, speed)] sorted by
-    start time (for inspection/tests).  Under gc, flushed slots no
-    longer appear. *)
-
 val stats : t -> Pd_core.stats
 (** Cumulative counters: [probes] counts priced candidate slots,
     [intervals] counts scanned gaps, [breakpoints] stays [0]. *)
@@ -77,8 +71,6 @@ val stats : t -> Pd_core.stats
 val mem : t -> Pd_core.mem_stats
 (** Residency gauges; [live_intervals] counts live booked slots and
     [table_entries] the dup-id table, as in PD. *)
-
-val set_observer : t -> (Pd_core.arrival_stats -> unit) option -> unit
 
 val certificate : power:Power.t -> machines:int -> decision list -> float
 (** {!Pd_core.certificate}: the weak-duality bound [g(λ̃)] over the

@@ -1,16 +1,17 @@
 open Speedscale_model
 
-(* PD is the framework's reference instantiation: the paper's
-   energy+lost-value objective and the atomic-interval/Chen water-filling
-   relaxation, with Pd_core's certificate read off its decisions.
+(* PD is the framework's reference instantiation: Pd_core's loop over
+   the atomic-interval/Chen water-filling relaxation, pricing the paper's
+   energy+lost-value objective, with Pd_core's certificate read off its
+   decisions.
    Everything below is a thin delegation layer; the algorithm itself
    lives in Pd_core (where both the fast breakpoint-walk solver and the
    bisection reference oracle are shared with any other instantiation of
    the interval relaxation). *)
 
 module O = Pd_core.Energy_value
-module R = Pd_core.Interval (O)
-module Core = Pd_core.Make (O) (R)
+module R = Pd_core.Interval
+module Core = Pd_core.Make (R)
 
 type t = Core.t
 
@@ -21,7 +22,6 @@ type arrival_stats = Pd_core.arrival_stats = {
   intervals : int;
   breakpoints : int;
   bisections : int;
-  wall_s : float;
 }
 
 type stats = Pd_core.stats = {
@@ -50,8 +50,8 @@ type decision = Pd_core.decision = {
   assignment : (int * float) list;
 }
 
-let create ?clock ?delta ?(gc = false) ~power ~machines () =
-  Core.create ?clock ~gc ~err:"Pd"
+let create ?delta ?(gc = false) ~power ~machines () =
+  Core.create ~gc ~err:"Pd"
     (O.make ?delta ~err:"Pd.create" ~power ~machines ())
 
 let set_observer = Core.set_observer

@@ -40,7 +40,7 @@
     arrivals keeps the decisions it wants certified, with or without gc.
 
     Since the framework refactor, PD is the reference instantiation of
-    {!Pd_core}: [Pd_core.Make (Energy_value) (Interval (Energy_value))],
+    {!Pd_core}: [Pd_core.Make (Pd_core.Interval)],
     decision-bit-identical to the pre-framework code (qcheck-pinned in
     [test_core.ml]).  The non-preemptive engine [Npd] swaps only the
     relaxation module. *)
@@ -51,7 +51,6 @@ type t
 (** Mutable online state. *)
 
 val create :
-  ?clock:(unit -> float) ->
   ?delta:float ->
   ?gc:bool ->
   power:Power.t ->
@@ -59,9 +58,7 @@ val create :
   unit ->
   t
 (** [delta] defaults to [Power.delta_star], the optimal [α^(1-α)].
-    [clock] (e.g. [Unix.gettimeofday]) enables per-arrival wall-clock
-    measurement in {!arrival_stats}; without it [wall_s] is reported as
-    [0].  Raises [Invalid_argument] for [delta <= 0] or [machines < 1].
+    Raises [Invalid_argument] for [delta <= 0] or [machines < 1].
 
     [gc] (default [false]) bounds resident memory to the live window:
     before each arrival, every atomic interval lying wholly in the past
@@ -96,12 +93,11 @@ type arrival_stats = {
           target and [Bisect.monotone_inverse] ran inside the bracketing
           segment, whose probes are part of [probes] ([0] on the
           reference path) *)
-  wall_s : float;  (** wall-clock seconds ([0] without [create ~clock]) *)
 }
 (** Per-arrival instrumentation, delivered to the {!set_observer} hook
-    after each decision.  All fields except [wall_s] are deterministic
-    functions of the instance, so they are safe in observability record
-    payloads; [wall_s] belongs in a record's timing slot only. *)
+    after each decision.  Every field is a deterministic function of the
+    instance, so all are safe in observability record payloads; time an
+    arrival around the call instead. *)
 
 val set_observer : t -> (arrival_stats -> unit) option -> unit
 (** Install (or clear) the per-arrival hook.  Called synchronously at the

@@ -34,7 +34,6 @@ type arrival_stats = {
   bisections : int;
       (** fallback bisections inside the bracketing segment (0 on the
           reference path) *)
-  wall_s : float;  (** wall-clock seconds, 0 unless [create ~clock] *)
 }
 
 type stats = {
@@ -173,21 +172,8 @@ module Slab = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Module parameters: objective, relaxation                             *)
+(* The objective and the relaxation contract                            *)
 (* ------------------------------------------------------------------ *)
-
-module type OBJECTIVE = sig
-  type t
-
-  val name : string
-  val power : t -> Power.t
-  val machines : t -> int
-  val delta : t -> float
-  val speed_of_price : t -> workload:float -> float -> float
-  val price_of_speed : t -> workload:float -> float -> float
-  val acceptance_cap : t -> Job.t -> float
-  val guarantee : t -> float
-end
 
 (* The paper's objective: energy plus the value of unfinished jobs.  The
    marginal price of running job [j] at speed [s] is
@@ -195,8 +181,6 @@ end
    stays below its value [v_j]. *)
 module Energy_value = struct
   type t = { power : Power.t; machines : int; delta : float }
-
-  let name = "energy+lost-value"
 
   let make ?delta ~err ~power ~machines () =
     if machines < 1 then invalid_arg (err ^ ": machines < 1");
@@ -216,9 +200,6 @@ module Energy_value = struct
 
   let price_of_speed t ~workload s =
     t.delta *. workload *. Power.deriv t.power s
-
-  let acceptance_cap _ (job : Job.t) = job.value
-  let guarantee t = Power.competitive_bound t.power
 end
 
 type relax_arrival = {
@@ -241,11 +222,9 @@ type verdict =
       (** final common price and the committed public assignment *)
 
 module type RELAXATION = sig
-  type obj
   type t
 
-  val name : string
-  val create : obj -> err:string -> gc:bool -> t
+  val create : Energy_value.t -> err:string -> gc:bool -> t
 
   val prepare : t -> Job.t -> last_release:float -> unit
   (** Timeline refinement (and, under gc, flushing of the wholly-past
@@ -297,9 +276,9 @@ let certificate ~power ~machines (decisions : decision list) =
 (* The generic accept/reject + lambda-pricing loop                      *)
 (* ------------------------------------------------------------------ *)
 
-module Make (O : OBJECTIVE) (R : RELAXATION with type obj = O.t) = struct
+module Make (R : RELAXATION) = struct
   type t = {
-    obj : O.t;
+    obj : Energy_value.t;
     relax : R.t;
     err : string;
     gc : bool;
@@ -309,7 +288,6 @@ module Make (O : OBJECTIVE) (R : RELAXATION with type obj = O.t) = struct
     mutable last_release : float;
     mutable evicted_jobs : int;
     (* instrumentation *)
-    clock : (unit -> float) option;
     mutable observer : (arrival_stats -> unit) option;
     mutable arrivals : int;
     mutable probes_total : int;
@@ -319,7 +297,7 @@ module Make (O : OBJECTIVE) (R : RELAXATION with type obj = O.t) = struct
     mutable max_table : int;
   }
 
-  let create ?clock ?(gc = false) ~err obj =
+  let create ?(gc = false) ~err obj =
     {
       obj;
       relax = R.create obj ~err ~gc;
@@ -330,7 +308,6 @@ module Make (O : OBJECTIVE) (R : RELAXATION with type obj = O.t) = struct
       rejected_rev = [];
       last_release = Float.neg_infinity;
       evicted_jobs = 0;
-      clock;
       observer = None;
       arrivals = 0;
       probes_total = 0;
@@ -343,7 +320,6 @@ module Make (O : OBJECTIVE) (R : RELAXATION with type obj = O.t) = struct
   let obj t = t.obj
   let relax t = t.relax
   let set_observer t obs = t.observer <- obs
-  let now t = match t.clock with Some c -> c () | None -> 0.0
 
   let stats t =
     {
@@ -379,7 +355,7 @@ module Make (O : OBJECTIVE) (R : RELAXATION with type obj = O.t) = struct
       done
     end
 
-  let emit_stats t (d : decision) ~(ra : relax_arrival) ~t0 =
+  let emit_stats t (d : decision) ~(ra : relax_arrival) =
     t.arrivals <- t.arrivals + 1;
     t.probes_total <- t.probes_total + ra.r_probes;
     t.intervals_total <- t.intervals_total + ra.r_intervals;
@@ -388,7 +364,6 @@ module Make (O : OBJECTIVE) (R : RELAXATION with type obj = O.t) = struct
     match t.observer with
     | None -> ()
     | Some obs ->
-      let wall_s = match t.clock with Some c -> c () -. t0 | None -> 0.0 in
       obs
         {
           job_id = d.job.id;
@@ -397,11 +372,9 @@ module Make (O : OBJECTIVE) (R : RELAXATION with type obj = O.t) = struct
           intervals = ra.r_intervals;
           breakpoints = ra.r_breakpoints;
           bisections = ra.r_bisections;
-          wall_s;
         }
 
   let arrive_with ~reference t (job : Job.t) =
-    let t0 = now t in
     if Hashtbl.mem t.seen_ids job.id then
       invalid_arg (t.err ^ ".arrive: duplicate job id");
     if job.release < t.last_release -. Feq.tol_guard then
@@ -417,14 +390,18 @@ module Make (O : OBJECTIVE) (R : RELAXATION with type obj = O.t) = struct
     let d =
       match verdict with
       | Reject lambda ->
-        let planned_speed = O.speed_of_price t.obj ~workload:w lambda in
+        let planned_speed =
+          Energy_value.speed_of_price t.obj ~workload:w lambda
+        in
         t.rejected_rev <- job.id :: t.rejected_rev;
         { job; accepted = false; lambda; planned_speed; assignment = [] }
       | Accept (lambda, assignment) ->
-        let planned_speed = O.speed_of_price t.obj ~workload:w lambda in
+        let planned_speed =
+          Energy_value.speed_of_price t.obj ~workload:w lambda
+        in
         { job; accepted = true; lambda; planned_speed; assignment }
     in
-    emit_stats t d ~ra:(R.take_arrival t.relax) ~t0;
+    emit_stats t d ~ra:(R.take_arrival t.relax);
     d
 
   let arrive t job = arrive_with ~reference:false t job
@@ -446,13 +423,9 @@ type ivl = {
   mutable cache : Chen.t option;
 }
 
-module Interval (O : OBJECTIVE) = struct
-  type obj = O.t
-
-  let name = "interval-water-filling"
-
+module Interval = struct
   type t = {
-    obj : O.t;
+    obj : Energy_value.t;
     err : string;
     gc : bool;
     machines : int;
@@ -486,7 +459,7 @@ module Interval (O : OBJECTIVE) = struct
       obj;
       err;
       gc;
-      machines = O.machines obj;
+      machines = Energy_value.machines obj;
       live = Tline.empty;
       lone = None;
       finished = Slab.create ();
@@ -653,7 +626,7 @@ module Interval (O : OBJECTIVE) = struct
      probe, so the boxed argument is not worth a second copy. *)
   let commit_loads t (job : Job.t) probs lambda =
     let w = job.workload in
-    let s = O.speed_of_price t.obj ~workload:w lambda in
+    let s = Energy_value.speed_of_price t.obj ~workload:w lambda in
     let n = Array.length probs in
     t.probes_now <- t.probes_now + n;
     let zs = Array.make n 0.0 in
@@ -808,7 +781,8 @@ module Interval (O : OBJECTIVE) = struct
     let w = job.workload in
     let finite = Float.is_finite job.value in
     let s_v =
-      if finite then O.speed_of_price t.obj ~workload:w job.value else 0.0
+      if finite then Energy_value.speed_of_price t.obj ~workload:w job.value
+      else 0.0
     in
     let at_value = if finite then assigned_at_speed t ~w probs s_v else 0.0 in
     if finite && at_value < w *. (1.0 -. Feq.tol_snap) then Reject job.value
@@ -816,7 +790,7 @@ module Interval (O : OBJECTIVE) = struct
       let bound_s = if finite then Some s_v else None in
       let lambda =
         match solve_speed t ~w probs ~bound_s with
-        | Some s -> O.price_of_speed t.obj ~workload:w s
+        | Some s -> Energy_value.price_of_speed t.obj ~workload:w s
         | None ->
           (* the assignment never reaches w strictly below the value
              speed: the job finishes exactly as the price hits v_j *)
@@ -838,7 +812,8 @@ module Interval (O : OBJECTIVE) = struct
   let price_reference t (job : Job.t) probs =
     let w = job.workload in
     let assigned mu =
-      assigned_at_speed t ~w probs (O.speed_of_price t.obj ~workload:w mu)
+      assigned_at_speed t ~w probs
+        (Energy_value.speed_of_price t.obj ~workload:w mu)
     in
     let at_value =
       if Float.is_finite job.value then assigned job.value else 0.0
@@ -852,8 +827,8 @@ module Interval (O : OBJECTIVE) = struct
           (* grow a bracket: the price at which even a single interval
              could absorb the whole job is a safe upper bound *)
           let init =
-            O.delta t.obj *. w
-            *. Power.deriv (O.power t.obj)
+            Energy_value.delta t.obj *. w
+            *. Power.deriv (Energy_value.power t.obj)
                  ((w +. 1.0) /. Float.max Feq.tol_snap (Job.span job))
           in
           Bisect.grow_bracket ~f:assigned ~target:w ~lo:0.0

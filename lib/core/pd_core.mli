@@ -5,28 +5,25 @@
     is an instance of a general recipe: maintain a relaxed assignment of
     the committed work, price each arrival by the marginal cost of
     squeezing it in, accept iff the price stays below the job's worth,
-    and read a dual certificate off the multipliers.  This module factors
-    that recipe into two module parameters:
+    and read a dual certificate off the multipliers.  The objective is
+    the paper's, energy plus lost value ({!Energy_value}: the
+    price↔speed conversions [μ = δ·w_j·P'(s)], capped at the job's value
+    [v_j]).  What varies is the {{!RELAXATION} relaxation} — how
+    committed work is represented, refined, priced, and turned into a
+    schedule ({!Interval} is the paper's atomic-interval timeline with
+    Chen water-filling; [Npd]'s contiguous-slot booking is a second
+    instance).
 
-    + an {{!OBJECTIVE} objective} — the price↔speed conversions, the
-      acceptance cap, and the proven guarantee ({!Energy_value} is the
-      paper's energy + lost-value objective);
-    + a {{!RELAXATION} relaxation} — how committed work is represented,
-      refined, priced, and turned into a schedule ({!Interval} is the
-      paper's atomic-interval timeline with Chen water-filling; [Npd]'s
-      contiguous-slot booking is a second instance).
-
-    {!Make} ties them into the generic online loop: admission checks
-    (duplicate ids, release order), bounded-memory eviction of the dup-id
-    table, observer instrumentation, and the rejected list the final
-    schedule needs.  It keeps no other history: the dual certificate is
-    {!certificate}, a function of the decisions the loop returns (each
-    carries its job and its multiplier), evaluated the way E11's duality
-    chain does.  {!Pd} instantiates
-    [Make (Energy_value) (Interval (Energy_value))] and is
-    decision-bit-identical to the pre-framework code (the qcheck
+    {!Make} turns a relaxation into the generic online loop: admission
+    checks (duplicate ids, release order), bounded-memory eviction of
+    the dup-id table, observer instrumentation, and the rejected list the
+    final schedule needs.  It keeps no other history: the dual
+    certificate is {!certificate}, a function of the decisions the loop
+    returns (each carries its job and its multiplier), evaluated the way
+    E11's duality chain does.  {!Pd} instantiates [Make (Interval)] and
+    is decision-bit-identical to the pre-framework code (the qcheck
     equivalence suite in [test_core.ml] pins this); the non-preemptive
-    engine [Npd] swaps only the relaxation. *)
+    engine [Npd] swaps the relaxation. *)
 
 open Speedscale_model
 
@@ -61,7 +58,6 @@ type arrival_stats = {
       (** fallback bisections inside the bracketing segment, when the
           interpolated speed missed the target ([0] on the reference
           path) *)
-  wall_s : float;  (** wall-clock seconds ([0] without [create ~clock]) *)
 }
 
 type stats = {
@@ -113,40 +109,28 @@ module Slab : sig
 end
 
 (* ------------------------------------------------------------------ *)
-(* Module parameters                                                    *)
+(* The objective and the relaxation contract                            *)
 (* ------------------------------------------------------------------ *)
 
-module type OBJECTIVE = sig
-  type t
-
-  val name : string
-  val power : t -> Power.t
-  val machines : t -> int
-  val delta : t -> float
-
-  val speed_of_price : t -> workload:float -> float -> float
-  (** The speed at which the marginal price of the job equals the given
-      price level. *)
-
-  val price_of_speed : t -> workload:float -> float -> float
-  (** Inverse of {!speed_of_price}. *)
-
-  val acceptance_cap : t -> Job.t -> float
-  (** The price above which the job is not worth running ([v_j] for the
-      paper's objective; [+∞] for must-finish jobs). *)
-
-  val guarantee : t -> float
-  (** The proven competitive factor at the objective's default
-      parameters ([α^α] for {!Energy_value}, Theorem 3). *)
-end
-
+(** The paper's objective: energy plus the value of unfinished jobs. *)
 module Energy_value : sig
-  include OBJECTIVE
+  type t
 
   val make :
     ?delta:float -> err:string -> power:Power.t -> machines:int -> unit -> t
   (** [delta] defaults to [Power.delta_star].  Raises [Invalid_argument]
       (prefixed with [err]) for [machines < 1] or [delta <= 0]. *)
+
+  val power : t -> Power.t
+  val machines : t -> int
+  val delta : t -> float
+
+  val speed_of_price : t -> workload:float -> float -> float
+  (** The speed at which the marginal price [δ·w·P'(s)] of the job
+      equals the given price level. *)
+
+  val price_of_speed : t -> workload:float -> float -> float
+  (** Inverse of {!speed_of_price}. *)
 end
 
 type relax_arrival = {
@@ -169,11 +153,9 @@ type verdict =
       (** final common price and the committed public assignment *)
 
 module type RELAXATION = sig
-  type obj
   type t
 
-  val name : string
-  val create : obj -> err:string -> gc:bool -> t
+  val create : Energy_value.t -> err:string -> gc:bool -> t
 
   val prepare : t -> Job.t -> last_release:float -> unit
   (** Timeline refinement (and, under gc, flushing of the wholly-past
@@ -206,13 +188,13 @@ val certificate : power:Power.t -> machines:int -> decision list -> float
 (* The generic accept/reject + λ-pricing loop                           *)
 (* ------------------------------------------------------------------ *)
 
-module Make (O : OBJECTIVE) (R : RELAXATION with type obj = O.t) : sig
+module Make (R : RELAXATION) : sig
   type t
 
-  val create : ?clock:(unit -> float) -> ?gc:bool -> err:string -> O.t -> t
+  val create : ?gc:bool -> err:string -> Energy_value.t -> t
   (** [err] prefixes every raised message (["Pd"], ["Npd"], …). *)
 
-  val obj : t -> O.t
+  val obj : t -> Energy_value.t
   val relax : t -> R.t
   val arrive : t -> Job.t -> decision
   val arrive_reference : t -> Job.t -> decision
@@ -226,8 +208,8 @@ end
 (* The default relaxation: atomic intervals + Chen water-filling        *)
 (* ------------------------------------------------------------------ *)
 
-module Interval (O : OBJECTIVE) : sig
-  include RELAXATION with type obj = O.t
+module Interval : sig
+  include RELAXATION
 
   (** Beyond the [RELAXATION] contract, the interval timeline exposes its
       state for {!Pd}'s inspection API: *)

@@ -63,7 +63,6 @@ let gap_tol = Feq.tol_snap
 
 type job_state = {
   mutable work : float;
-  mutable started : bool;
   mutable last_end : float;
   mutable last_proc : int;
   mutable done_at : float option;
@@ -77,7 +76,6 @@ let replay (inst : Instance.t) (sched : Schedule.t) =
     Array.init n (fun _ ->
         {
           work = 0.0;
-          started = false;
           last_end = Float.neg_infinity;
           last_proc = -1;
           done_at = None;
@@ -115,11 +113,9 @@ let replay (inst : Instance.t) (sched : Schedule.t) =
           let dur = sl.t1 -. sl.t0 in
           Ksum.add energy (Power.energy inst.power ~speed:sl.speed ~duration:dur);
           if sl.t1 > !makespan then makespan := sl.t1;
-          (* lifecycle transitions at the head of the slice *)
-          (if not st.started then begin
-             st.started <- true;
-             emit sl.t0 Start id sl.proc sl.speed
-           end
+          (* lifecycle transitions at the head of the slice (Schedule.make
+             keeps every slice's processor >= 0, so -1 means none yet) *)
+          (if st.last_proc < 0 then emit sl.t0 Start id sl.proc sl.speed
            else begin
              let contiguous =
                sl.t0 -. st.last_end <= gap_tol *. (1.0 +. Float.abs sl.t0)

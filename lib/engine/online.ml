@@ -19,15 +19,14 @@ type params = {
   power : Power.t;
   machines : int;
   delta : float option;
-  clock : (unit -> float) option;
 }
 
-let params ?delta ?clock ~power ~machines () =
+let params ?delta ~power ~machines () =
   if machines < 1 then invalid_arg "Online.params: machines must be >= 1";
-  { power; machines; delta; clock }
+  { power; machines; delta }
 
-let params_of_instance ?delta ?clock (inst : Instance.t) =
-  params ?delta ?clock ~power:inst.power ~machines:inst.machines ()
+let params_of_instance ?delta (inst : Instance.t) =
+  params ?delta ~power:inst.power ~machines:inst.machines ()
 
 type decision = {
   job_id : int;
@@ -44,8 +43,6 @@ let family_name = function
   | Preemptive -> "preemptive"
   | Non_preemptive -> "non-preemptive"
   | Migratory -> "migratory"
-
-type event = { decision : decision; wall_s : float }
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot wire format (doc/ENGINE.md)                                 *)
@@ -145,16 +142,14 @@ module type ONLINE = sig
   val create : params -> state
   val arrive : state -> Job.t -> decision
   val current_plan : state -> Schedule.t
-  val finalize : state -> Schedule.t
-  val set_observer : state -> (event -> unit) option -> unit
   val params_of : state -> params
   val snapshot : state -> string
   val restore : string -> state
 end
 
 (* What each concrete algorithm provides; [Make] adds the uniform
-   arrival validation, seen-jobs recording, observer timing and
-   replay-based snapshot/restore on top. *)
+   arrival validation, seen-jobs recording and replay-based
+   snapshot/restore on top. *)
 module type CORE = sig
   val name : string
   val description : string
@@ -178,10 +173,11 @@ module Make (C : CORE) : ONLINE = struct
     params : params;
     core : C.core;
     seen_ids : (int, unit) Hashtbl.t;
-    mutable last_release : float;
-    mutable started : bool;
+    mutable last_release : float;  (** [neg_infinity] before any arrival *)
     mutable seen_rev : Job.t list;  (** original arrivals, newest first *)
-    mutable observer : (event -> unit) option;
+    mutable failed : int option;
+        (** the job whose [arrive_core] raised: the core may have recorded
+            part of it, so the state takes no further arrivals *)
   }
 
   let create p =
@@ -194,35 +190,36 @@ module Make (C : CORE) : ONLINE = struct
       core = C.create_core p;
       seen_ids = Hashtbl.create 16;
       last_release = Float.neg_infinity;
-      started = false;
       seen_rev = [];
-      observer = None;
+      failed = None;
     }
 
   let arrive st (j : Job.t) =
+    (match st.failed with
+    | Some id ->
+      invalid_arg
+        (Fmt.str
+           "Online.arrive: job %d refused: the engine failed on job %d and \
+            takes no further arrivals"
+           j.id id)
+    | None -> ());
     if Hashtbl.mem st.seen_ids j.id then
       invalid_arg (Fmt.str "Online.arrive: duplicate job id %d" j.id);
-    if st.started && j.release < st.last_release then
+    if j.release < st.last_release then
       invalid_arg
         (Fmt.str "Online.arrive: job %d released at %g before current time %g"
            j.id j.release st.last_release);
-    let t0 = match st.params.clock with Some c -> c () | None -> 0.0 in
-    let d = C.arrive_core st.core j in
-    Hashtbl.replace st.seen_ids j.id ();
-    st.last_release <- j.release;
-    st.started <- true;
-    st.seen_rev <- j :: st.seen_rev;
-    let wall_s =
-      match st.params.clock with Some c -> c () -. t0 | None -> 0.0
-    in
-    (match st.observer with
-    | Some f -> f { decision = d; wall_s }
-    | None -> ());
-    d
+    match C.arrive_core st.core j with
+    | exception e ->
+      st.failed <- Some j.id;
+      raise e
+    | d ->
+      Hashtbl.replace st.seen_ids j.id ();
+      st.last_release <- j.release;
+      st.seen_rev <- j :: st.seen_rev;
+      d
 
   let current_plan st = C.plan_core st.core
-  let finalize st = C.plan_core st.core
-  let set_observer st f = st.observer <- f
   let params_of st = st.params
   let snapshot st = render_snapshot ~name ~p:st.params (List.rev st.seen_rev)
 
@@ -533,8 +530,7 @@ let start (e : engine) p =
 
 let arrive (Packed ((module E), st)) j = E.arrive st j
 let current_plan (Packed ((module E), st)) = E.current_plan st
-let finalize (Packed ((module E), st)) = E.finalize st
-let set_observer (Packed ((module E), st)) f = E.set_observer st f
+let finalize = current_plan
 let params_of (Packed ((module E), st)) = E.params_of st
 let snapshot (Packed ((module E), st)) = E.snapshot st
 
@@ -555,9 +551,8 @@ let restore s =
 
 type run_result = { schedule : Schedule.t; decisions : decision list }
 
-let run ?delta ?clock ?observer (e : engine) (inst : Instance.t) =
-  let t = start e (params_of_instance ?delta ?clock inst) in
-  (match observer with Some _ -> set_observer t observer | None -> ());
+let run ?delta (e : engine) (inst : Instance.t) =
+  let t = start e (params_of_instance ?delta inst) in
   let decisions_rev = ref [] in
   Array.iter
     (fun j -> decisions_rev := arrive t j :: !decisions_rev)

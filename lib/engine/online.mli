@@ -52,23 +52,12 @@ type params = {
   delta : float option;
       (** PD's rejection parameter [δ]; [None] means the engine default
           ([δ* = α^(1-α)] for PD).  Ignored by every other engine. *)
-  clock : (unit -> float) option;
-      (** Wall clock (e.g. [Unix.gettimeofday]) for the [wall_s] field of
-          observer {!event}s; without it [wall_s] is reported as [0] and
-          the whole execution is deterministic. *)
 }
 
-val params :
-  ?delta:float ->
-  ?clock:(unit -> float) ->
-  power:Power.t ->
-  machines:int ->
-  unit ->
-  params
+val params : ?delta:float -> power:Power.t -> machines:int -> unit -> params
 (** Raises [Invalid_argument] if [machines < 1]. *)
 
-val params_of_instance :
-  ?delta:float -> ?clock:(unit -> float) -> Instance.t -> params
+val params_of_instance : ?delta:float -> Instance.t -> params
 (** The instance's power and machine count. *)
 
 type decision = {
@@ -93,11 +82,6 @@ val family_name : family -> string
 (** ["preemptive"], ["non-preemptive"], ["migratory"] — the spelling
     `psched engines` prints. *)
 
-type event = { decision : decision; wall_s : float }
-(** Per-arrival observer payload: the decision plus the wall-clock cost
-    of processing it ([0] without [params.clock]).  Everything except
-    [wall_s] is a deterministic function of the arrival prefix. *)
-
 (* ------------------------------------------------------------------ *)
 (* The engine signature                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -121,22 +105,17 @@ module type ONLINE = sig
 
   val arrive : state -> Job.t -> decision
   (** Process one arrival.  Jobs must arrive in non-decreasing release
-      order with distinct ids; raises [Invalid_argument] otherwise. *)
+      order with distinct ids; raises [Invalid_argument] otherwise.  An
+      arrival the engine itself refuses (e.g. PD's [Failure] for a
+      must-finish job it cannot place) is not recorded, and the state
+      then raises [Invalid_argument] for every later arrival: the engine
+      may have kept part of the refused job, which its {!snapshot} does
+      not hold. *)
 
   val current_plan : state -> Schedule.t
   (** Committed past plus the standing plan for all known remaining work,
       as one schedule.  Pure: reading it between arrivals does not
       advance the state. *)
-
-  val finalize : state -> Schedule.t
-  (** The schedule after the last arrival.  For every current engine this
-      equals {!current_plan} (plans are pure projections); the separate
-      entry point exists so engines with commit-on-close semantics fit
-      the same signature. *)
-
-  val set_observer : state -> (event -> unit) option -> unit
-  (** Install (or clear) the per-arrival hook, called synchronously at
-      the end of every {!arrive}. *)
 
   val params_of : state -> params
   (** The parameters the state was created with (after {!restore}: the
@@ -150,8 +129,9 @@ module type ONLINE = sig
 
   val restore : string -> state
   (** Inverse of {!snapshot}: the restored state processes further
-      arrivals identically to the original.  The clock is not
-      serializable, so restored states report [wall_s = 0].  Raises
+      arrivals identically to the original while the original has
+      refused no arrival; after a refusal, the snapshot is the state
+      before it, which still takes arrivals.  Raises
       [Failure] on malformed input or an [engine] header naming a
       different engine.  Values the constructors refuse (a job with
       [deadline <= release], [alpha <= 1], [machines < 1]) and a replay
@@ -220,8 +200,9 @@ val start : engine -> params -> t
 
 val arrive : t -> Job.t -> decision
 val current_plan : t -> Schedule.t
+
 val finalize : t -> Schedule.t
-val set_observer : t -> (event -> unit) option -> unit
+(** The schedule after the last arrival: {!current_plan}. *)
 
 val params_of : t -> params
 (** The parameters behind the packed state (post-{!restore}: the ones
@@ -245,13 +226,7 @@ type run_result = {
   decisions : decision list;  (** in arrival order *)
 }
 
-val run :
-  ?delta:float ->
-  ?clock:(unit -> float) ->
-  ?observer:(event -> unit) ->
-  engine ->
-  Instance.t ->
-  run_result
+val run : ?delta:float -> engine -> Instance.t -> run_result
 (** Feed the instance's jobs in release order and finalize — the only
     way batch code consumes an online engine, which is what makes the
     online-ness structural. *)

@@ -35,8 +35,7 @@ type t = {
   plan : plan_fn;
   admit : admission_sp;
   must_finish : bool;
-  mutable now : float;
-  mutable started : bool;
+  mutable now : float;  (* neg_infinity before the first arrival *)
   remaining : (int, float) Hashtbl.t;  (* accepted unfinished id -> work *)
   accepted : (int, Job.t) Hashtbl.t;  (* id -> stored (possibly viewed) job *)
   seen_ids : (int, unit) Hashtbl.t;
@@ -55,7 +54,6 @@ let start ~machines ~plan ?(admit = admit_all) ?(must_finish = false) () =
     admit;
     must_finish;
     now = Float.neg_infinity;
-    started = false;
     remaining = Hashtbl.create 16;
     accepted = Hashtbl.create 16;
     seen_ids = Hashtbl.create 16;
@@ -101,14 +99,14 @@ let execute t ~from ~until =
 let step t (j : Job.t) =
   if Hashtbl.mem t.seen_ids j.id then
     invalid_arg (Fmt.str "Oa_engine.step: duplicate job id %d" j.id);
-  if t.started && j.release < t.now then
+  if j.release < t.now then
     invalid_arg
       (Fmt.str "Oa_engine.step: job %d released at %g before current time %g"
          j.id j.release t.now);
-  if t.started && j.release > t.now then
-    execute t ~from:t.now ~until:(Some j.release);
+  (* before the first arrival nothing is accepted, so this executes
+     nothing *)
+  if j.release > t.now then execute t ~from:t.now ~until:(Some j.release);
   t.now <- j.release;
-  t.started <- true;
   let stored =
     if t.must_finish then
       Job.make ~id:j.id ~release:j.release ~deadline:j.deadline
@@ -133,11 +131,9 @@ let rejected t = t.rejected_rev
 
 let current_plan t =
   let tail =
-    if t.started then
-      match plan_jobs t ~now:t.now with
-      | [] -> []
-      | plan -> t.plan ~now:t.now plan
-    else []
+    match plan_jobs t ~now:t.now with
+    | [] -> []
+    | plan -> t.plan ~now:t.now plan
   in
   Schedule.make ~machines:t.machines ~rejected:t.rejected_rev
     (tail @ t.executed)

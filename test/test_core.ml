@@ -575,12 +575,7 @@ let test_near_duplicate_boundary () =
   | d -> Alcotest.failf "expected Failure, got accepted=%b" d.accepted
 
 let test_arrival_stats_observer () =
-  let tick = ref 0.0 in
-  let clock () =
-    tick := !tick +. 1.0;
-    !tick
-  in
-  let pd = Pd.create ~clock ~power:p2 ~machines:2 () in
+  let pd = Pd.create ~power:p2 ~machines:2 () in
   let seen = ref [] in
   Pd.set_observer pd (Some (fun s -> seen := s :: !seen));
   ignore (Pd.arrive pd (mk_job ~id:0 ~r:0.0 ~d:2.0 ~w:1.0 ~v:100.0 ()));
@@ -590,8 +585,7 @@ let test_arrival_stats_observer () =
     (fun (s : Pd.arrival_stats) ->
       Alcotest.(check bool) "probes counted" true (s.probes > 0);
       Alcotest.(check bool) "intervals counted" true (s.intervals >= 1);
-      Alcotest.(check bool) "breakpoints counted" true (s.breakpoints > 0);
-      Alcotest.(check bool) "clocked wall time" true (s.wall_s > 0.0))
+      Alcotest.(check bool) "breakpoints counted" true (s.breakpoints > 0))
     !seen;
   let st = Pd.stats pd in
   Alcotest.(check int) "arrivals counted" 2 st.arrivals;
@@ -616,8 +610,7 @@ let test_arrival_stats_observer () =
   Alcotest.(check (list int)) "fallback bisections per arrival" [ 0; 0; 1 ]
     (List.rev !per_job);
   Alcotest.(check int) "bisection total" 1 (Pd.stats big).bisections;
-  (* the reference path reports probes but no breakpoints, and without a
-     clock the wall time stays at zero *)
+  (* the reference path reports probes but no breakpoints *)
   let refpd = Pd.create ~power:p2 ~machines:1 () in
   let last = ref None in
   Pd.set_observer refpd (Some (fun s -> last := Some s));
@@ -627,8 +620,7 @@ let test_arrival_stats_observer () =
   | Some (s : Pd.arrival_stats) ->
     Alcotest.(check int) "reference breakpoints" 0 s.breakpoints;
     Alcotest.(check int) "reference bisections" 0 s.bisections;
-    Alcotest.(check bool) "reference probes counted" true (s.probes > 0);
-    Alcotest.(check bool) "no clock, no wall" true (Float.equal s.wall_s 0.0)
+    Alcotest.(check bool) "reference probes counted" true (s.probes > 0)
   | None -> Alcotest.fail "observer not called on reference path"
 
 (* Bit pins on wide windows.  Each case digests every decision's
@@ -945,13 +937,12 @@ let test_pd_adversarial_ratio () =
 
 (* Pd is one instantiation of the Pd_core functor; this suite pins the
    framework path against Pd's public API so the two can never drift: a
-   hand-assembled Make (Energy_value) (Interval) must make
+   hand-assembled Make (Interval) must make
    bit-identical decisions to Pd.arrive and agree with the bisection
    oracle Pd.arrive_reference to solver tolerance, with gc on and off,
    across the alpha/machine grid of the equivalence generator. *)
 module FO = Pd_core.Energy_value
-module FR = Pd_core.Interval (FO)
-module FCore = Pd_core.Make (FO) (FR)
+module FCore = Pd_core.Make (Pd_core.Interval)
 
 let framework_pd ~gc ~power ~machines =
   FCore.create ~gc ~err:"Pd"

@@ -131,35 +131,8 @@ let test_golden_costs () =
     [ ("single", golden_single); ("multi", golden_multi) ]
 
 (* ------------------------------------------------------------------ *)
-(* Observer and params plumbing                                         *)
+(* Driver plumbing                                                      *)
 (* ------------------------------------------------------------------ *)
-
-let test_observer_and_clock () =
-  let events = ref 0 in
-  let r =
-    Online.run Online.pd golden_single ~observer:(fun ev ->
-        incr events;
-        Alcotest.(check (float 0.0)) "wall_s is 0 without clock" 0.0 ev.wall_s)
-  in
-  Alcotest.(check int)
-    "observer fired per arrival"
-    (Instance.n_jobs golden_single)
-    !events;
-  ignore r;
-  (* a fake injected clock is read twice per arrival *)
-  let ticks = ref 0.0 in
-  let clock () =
-    ticks := !ticks +. 0.5;
-    !ticks
-  in
-  let wall = ref 0.0 in
-  ignore
-    (Online.run Online.cll golden_single ~clock ~observer:(fun ev ->
-         wall := !wall +. ev.wall_s));
-  Alcotest.(check (float 1e-9))
-    "fake clock accumulates 0.5 per arrival"
-    (0.5 *. float_of_int (Instance.n_jobs golden_single))
-    !wall
 
 let test_driver_clock_injection () =
   let r = Driver.evaluate Driver.pd golden_single in
@@ -382,6 +355,58 @@ let test_pre_rework_snapshot_still_restores () =
           (Instance.make ~power:p3 ~machines:2 (jobs @ [ later ]))
           (Online.finalize t)))
 
+(* An arrival the engine refuses after recording part of it (PD keeps a
+   must-finish job's id and release before it finds the window
+   degenerate) poisons the live state, while the snapshot holds the
+   state before the refusal.  The live state must then refuse every
+   later arrival, naming the refused job, rather than answer them
+   differently from a state restored from its own snapshot. *)
+let test_refused_arrival_stops_the_state () =
+  let t = Online.start Online.pd (Online.params ~power:p3 ~machines:1 ()) in
+  let first = mk_job ~id:0 ~r:0.0 ~d:2.0 ~w:1.0 ~v:10.0 in
+  ignore (Online.arrive t first);
+  let before = Online.snapshot t in
+  let refused =
+    mk_job ~id:1 ~r:1.0 ~d:(1.0 +. 1e-13) ~w:1.0 ~v:Float.infinity
+  in
+  (match Online.arrive t refused with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "degenerate must-finish window accepted");
+  Alcotest.(check string) "snapshot holds the state before the refusal"
+    before (Online.snapshot t);
+  let later =
+    [
+      ("earlier release", mk_job ~id:2 ~r:0.5 ~d:3.0 ~w:1.0 ~v:10.0);
+      ("refused id again", mk_job ~id:1 ~r:1.0 ~d:3.0 ~w:1.0 ~v:10.0);
+      ("in-order arrival", mk_job ~id:3 ~r:1.5 ~d:3.0 ~w:1.0 ~v:10.0);
+    ]
+  in
+  List.iter
+    (fun (name, j) ->
+      match Online.arrive t j with
+      | exception Invalid_argument m ->
+        Alcotest.(check string) (name ^ ": refused, naming job 1")
+          (Printf.sprintf
+             "Online.arrive: job %d refused: the engine failed on job 1 and \
+              takes no further arrivals"
+             j.Job.id)
+          m
+      | exception e ->
+        Alcotest.failf "%s: %s, not Invalid_argument" name
+          (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: accepted by a refused state" name)
+    later;
+  (* the snapshot is the point to resume from: it continues like a state
+     that never saw the refused arrival *)
+  let resumed = Online.restore before in
+  let fresh = Online.start Online.pd (Online.params ~power:p3 ~machines:1 ()) in
+  ignore (Online.arrive fresh first);
+  List.iter
+    (fun (name, j) ->
+      Alcotest.(check bool) (name ^ ": resumed = fresh") true
+        (decision_eq (Online.arrive resumed j) (Online.arrive fresh j)))
+    later
+
 let test_restore_errors () =
   Alcotest.check_raises "not a snapshot"
     (Failure "Online.restore: not an online-snapshot v1") (fun () ->
@@ -470,8 +495,6 @@ let () =
         ] );
       ( "plumbing",
         [
-          Alcotest.test_case "observer + engine clock" `Quick
-            test_observer_and_clock;
           Alcotest.test_case "driver clock injection" `Quick
             test_driver_clock_injection;
         ] );
@@ -484,6 +507,8 @@ let () =
           Alcotest.test_case "pre-rework v1 snapshot restores" `Quick
             test_pre_rework_snapshot_still_restores;
           Alcotest.test_case "restore errors" `Quick test_restore_errors;
+          Alcotest.test_case "refused arrival stops the state" `Quick
+            test_refused_arrival_stops_the_state;
           Alcotest.test_case "restore rejects invalid values" `Quick
             test_restore_rejects_invalid_values;
         ] );
