@@ -116,7 +116,7 @@ let print_json v =
 
 let decision_record ~seq ~plan_before (d : Online.decision)
     (plan : Schedule.t) =
-  let n_slices = List.length plan.slices in
+  let n_slices = Schedule.length plan in
   Json.Obj
     [
       ("seq", Json.Int seq);
@@ -145,7 +145,7 @@ let fold_arrive f j =
   if f.records then begin
     let plan = Online.current_plan f.engine in
     print_json (decision_record ~seq:f.seq ~plan_before:f.plan_before d plan);
-    f.plan_before <- List.length plan.Schedule.slices
+    f.plan_before <- Schedule.length plan
   end;
   f.seq <- f.seq + 1;
   if d.accepted then f.accepted <- f.accepted + 1
@@ -159,7 +159,7 @@ let fold_summary f =
          ("jobs", Json.Int f.seq);
          ("accepted", Json.Int f.accepted);
          ("rejected", Json.Int (f.seq - f.accepted));
-         ("plan_slices", Json.Int (List.length plan.slices));
+         ("plan_slices", Json.Int (Schedule.length plan));
          ( "energy",
            Json.Float (Schedule.energy (Online.params_of f.engine).power plan)
          );
@@ -323,48 +323,47 @@ let sharded_record (ev : Service.ev) =
    history — so a run killed and restored from a checkpoint prints the
    very same bytes as one that ran straight through. *)
 let sharded_summaries ~engine ~total_seq svc plans =
-  let distinct_jobs slices =
-    List.sort_uniq Int.compare
-      (List.map (fun (s : Schedule.slice) -> s.job) slices)
+  (* distinct job ids among a plan's slices: the accepted jobs *)
+  let accepted (p : Schedule.t) =
+    let jobs = Schedule.jobs p in
+    Array.sort Int.compare jobs;
+    let n = ref 0 in
+    Array.iteri (fun i j -> if i = 0 || j <> jobs.(i - 1) then incr n) jobs;
+    !n
+  in
+  let accepted = Array.map accepted plans in
+  let energy =
+    Array.mapi
+      (fun i p -> Schedule.energy (Service.shard_params svc i).Online.power p)
+      plans
   in
   let shard_rows =
     Array.to_list
       (Array.mapi
          (fun i (plan : Schedule.t) ->
-           let p = (Service.shard_params svc i).Online.power in
            Json.Obj
              [
                ("shard", Json.Int i);
                ("machines", Json.Int plan.machines);
-               ("accepted", Json.Int (List.length (distinct_jobs plan.slices)));
+               ("accepted", Json.Int accepted.(i));
                ("rejected", Json.Int (List.length plan.rejected));
-               ("plan_slices", Json.Int (List.length plan.slices));
-               ("energy", Json.Float (Schedule.energy p plan));
+               ("plan_slices", Json.Int (Schedule.length plan));
+               ("energy", Json.Float energy.(i));
              ])
          plans)
   in
   let sum f = Array.fold_left (fun acc p -> acc + f p) 0 plans in
-  let energy =
-    Array.to_list plans
-    |> List.mapi (fun i p ->
-           Schedule.energy (Service.shard_params svc i).Online.power p)
-    |> List.fold_left ( +. ) 0.
-  in
   let global =
     Json.Obj
       [
         ("summary", Json.Str (Online.name engine ^ "-sharded"));
         ("shards", Json.Int (Array.length plans));
         ("jobs", Json.Int total_seq);
-        ( "accepted",
-          Json.Int
-            (sum (fun (p : Schedule.t) -> List.length (distinct_jobs p.slices)))
-        );
+        ("accepted", Json.Int (Array.fold_left ( + ) 0 accepted));
         ( "rejected",
           Json.Int (sum (fun (p : Schedule.t) -> List.length p.rejected)) );
-        ( "plan_slices",
-          Json.Int (sum (fun (p : Schedule.t) -> List.length p.slices)) );
-        ("energy", Json.Float energy);
+        ("plan_slices", Json.Int (sum Schedule.length));
+        ("energy", Json.Float (Array.fold_left ( +. ) 0. energy));
       ]
   in
   shard_rows @ [ global ]

@@ -359,32 +359,19 @@ let slice_capacity t =
   let p = Array.length t.loads and d = t.n_dedicated in
   d + (2 * (p - d))
 
-let slice_words = 5
-
-(* One slice record at slot [n]: proc, t0, t1, job, speed.  Inlined at
-   every call site, so no float is boxed. *)
+(* One [Schedule] slice record at slot [n], laid out as
+   [Schedule.write_slice] lays it out: proc, t0, t1, job, speed.  The
+   writer is repeated here, not called, because a call into another
+   module boxes its float arguments, and this runs for every slice a gc
+   flush parks; inlined at every call site, it boxes none. *)
 let[@inline always] put (buf : float array) n ~proc ~t0 ~t1 ~job ~speed =
-  let o = slice_words * n in
+  let o = Schedule.slice_words * n in
   buf.(o) <- float_of_int proc;
   buf.(o + 1) <- t0;
   buf.(o + 2) <- t1;
   buf.(o + 3) <- float_of_int job;
   buf.(o + 4) <- speed;
   n + 1
-
-let write_slice buf n (sl : Schedule.slice) =
-  ignore
-    (put buf n ~proc:sl.proc ~t0:sl.t0 ~t1:sl.t1 ~job:sl.job ~speed:sl.speed)
-
-let read_slice (buf : float array) n : Schedule.slice =
-  let o = slice_words * n in
-  {
-    proc = int_of_float buf.(o);
-    t0 = buf.(o + 1);
-    t1 = buf.(o + 2);
-    job = int_of_float buf.(o + 3);
-    speed = buf.(o + 4);
-  }
 
 (* A pool piece [[lo, hi)] of the window starting at [t0]; slivers below
    the guard tolerance are dropped. *)
@@ -451,10 +438,10 @@ let write_slices t ~t0 ~t1 buf pos =
 (* The records come out in the reverse of the list's order, so consing
    them front to back builds it. *)
 let slices t ~t0 ~t1 =
-  let buf = Array.make (slice_words * slice_capacity t) 0.0 in
+  let buf = Array.make (Schedule.slice_words * slice_capacity t) 0.0 in
   let n = write_slices t ~t0 ~t1 buf 0 in
   let acc = ref [] in
   for i = 0 to n - 1 do
-    acc := read_slice buf i :: !acc
+    acc := Schedule.read_slice buf i :: !acc
   done;
   !acc

@@ -163,20 +163,10 @@ val slice_capacity : t -> int
 (** Upper bound on the slices one {!write_slices} call writes: [d + 2 (p -
     d)] for [p] stored loads, [d] of them dedicated. *)
 
-val slice_words : int
-(** Floats per slice record in a slice buffer: processor, start, end, job
-    id and speed, so slot [i] is [buf.(5 i) .. buf.(5 i + 4)].  Ids
-    round-trip exactly while [|id| < 2^53]. *)
-
-val write_slice : float array -> int -> Schedule.slice -> unit
-(** [write_slice buf i sl] stores [sl] in slot [i]. *)
-
-val read_slice : float array -> int -> Schedule.slice
-(** [read_slice buf i] is the slice stored in slot [i]. *)
-
 val write_slices : t -> t0:float -> t1:float -> float array -> int -> int
 (** [write_slices t ~t0 ~t1 buf pos] writes {!slices}' slices into [buf]
-    from slot [pos] on and returns the next free slot.  The order is the dedicated slices from processor
-    [d - 1] down to [0], then the pool slices as McNaughton's rule emits
-    them.  [buf] needs room for {!slice_capacity} slots past [pos];
-    nothing is allocated. *)
+    as {!Speedscale_model.Schedule} slice records, from slot [pos] on, and
+    returns the next free slot.  The order is the dedicated slices from
+    processor [d - 1] down to [0], then the pool slices as McNaughton's
+    rule emits them.  [buf] needs room for {!slice_capacity} slots past
+    [pos]; nothing is allocated. *)

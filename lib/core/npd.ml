@@ -141,23 +141,24 @@ module Windows = struct
       r_bisections = 0;
     }
 
+  (* The booked slots machine by machine, then the flushed ones newest
+     first: the reverse of the slab's push order followed by each
+     machine's slots reversed, from machine m - 1 down to 0. *)
   let schedule t ~rejected =
-    let finished = Pd_core.Slab.fold (fun acc sl -> sl :: acc) [] t.finished in
-    let live =
-      List.concat
-        (List.init t.machines (fun i ->
-             List.map
-               (fun s ->
-                 {
-                   Schedule.proc = i;
-                   t0 = s.s0;
-                   t1 = s.s1;
-                   job = s.job;
-                   speed = s.speed;
-                 })
-               t.booked.(i)))
-    in
-    Schedule.make ~machines:t.machines ~rejected (live @ finished)
+    let room = Array.fold_left (fun n b -> n + List.length b) 0 t.booked in
+    Pd_core.Slab.schedule t.finished ~machines:t.machines ~rejected ~room
+      (fun buf pos ->
+        let pos = ref pos in
+        for i = t.machines - 1 downto 0 do
+          let last = !pos + List.length t.booked.(i) - 1 in
+          List.iteri
+            (fun k s ->
+              Schedule.write_slice buf (last - k)
+                { proc = i; t0 = s.s0; t1 = s.s1; job = s.job; speed = s.speed })
+            t.booked.(i);
+          pos := last + 1
+        done;
+        !pos)
 
   let mem t =
     {

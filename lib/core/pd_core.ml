@@ -110,7 +110,7 @@ module Expiry = struct
     done
 end
 
-(* Flushed slices parked as flat float arrays of [Chen]'s slice records.
+(* Flushed slices parked as flat float arrays of [Schedule]'s slice records.
    A soak-length stream retains millions of slices; kept as a list of
    boxed records they dominate the major collector's marking work and
    per-arrival wall time degrades with the length of the history — a
@@ -137,16 +137,16 @@ module Slab = struct
     let i = s.n mod chunk_slices in
     if i = 0 then
       s.chunks_rev <-
-        Array.make (Chen.slice_words * chunk_slices) 0.0 :: s.chunks_rev;
+        Array.make (Schedule.slice_words * chunk_slices) 0.0 :: s.chunks_rev;
     s.n <- s.n + 1;
     i
 
   let push s sl =
     let i = slot s in
-    Chen.write_slice (List.hd s.chunks_rev) i sl
+    Schedule.write_slice (List.hd s.chunks_rev) i sl
 
   let push_slices s c ~t0 ~t1 =
-    let w = Chen.slice_words in
+    let w = Schedule.slice_words in
     let need = w * Chen.slice_capacity c in
     if Array.length s.stage < need then
       s.stage <- Array.make (Stdlib.max need (2 * Array.length s.stage)) 0.0;
@@ -156,19 +156,21 @@ module Slab = struct
       Array.blit stage (w * k) (List.hd s.chunks_rev) (w * i) w
     done
 
-  (* [fold f acc s] folds over the slices in push order. *)
-  let fold f acc s =
-    let chunks = List.rev s.chunks_rev in
-    let acc = ref acc in
+  (* One buffer: the slab's records in push order, one blit per chunk,
+     then up to [room] more from [write buf pos] (which returns the next
+     free slot).  Reversed in place, it becomes the schedule. *)
+  let schedule s ~machines ~rejected ~room write =
+    let w = Schedule.slice_words in
+    let buf = Array.create_float (w * (s.n + room)) in
     List.iteri
       (fun c a ->
         let first = c * chunk_slices in
-        let limit = Stdlib.min chunk_slices (s.n - first) in
-        for i = 0 to limit - 1 do
-          acc := f !acc (Chen.read_slice a i)
-        done)
-      chunks;
-    !acc
+        Array.blit a 0 buf (w * first)
+          (w * Stdlib.min chunk_slices (s.n - first)))
+      (List.rev s.chunks_rev);
+    let n = write buf s.n in
+    Schedule.rev_records buf n;
+    Schedule.of_records ~machines ~rejected buf n
 end
 
 (* ------------------------------------------------------------------ *)
@@ -880,20 +882,24 @@ module Interval = struct
     let loads = Tline.fold (fun _ iv acc -> iv.loads :: acc) t.live [] in
     Array.of_list (List.rev loads)
 
+  (* The reverse of: the flushed slices in push order, then each live
+     interval's in Chen's write order, oldest interval first.  Each flush
+     wrote its batch in that write order too, so the schedule lists the
+     newest flush first with batch-internal order intact — the order a
+     never-flushed state gives. *)
   let schedule t ~rejected =
-    (* prepending in push order reverses the slab; each flush pushed its
-       batch reversed, so this restores newest flush first with
-       batch-internal order intact — the never-flushed slice order *)
-    let finished = Slab.fold (fun acc sl -> sl :: acc) [] t.finished in
-    let slices =
+    let live f acc =
       Tline.fold
-        (fun _ iv acc ->
-          match iv.loads with
-          | [] -> acc
-          | _ -> Chen.slices (chen t iv) ~t0:iv.lo ~t1:iv.hi @ acc)
-        t.live finished
+        (fun _ iv acc -> match iv.loads with [] -> acc | _ -> f iv acc)
+        t.live acc
     in
-    Schedule.make ~machines:t.machines ~rejected slices
+    let room = live (fun iv n -> n + Chen.slice_capacity (chen t iv)) 0 in
+    Slab.schedule t.finished ~machines:t.machines ~rejected ~room
+      (fun buf pos ->
+        live
+          (fun iv pos ->
+            Chen.write_slices (chen t iv) ~t0:iv.lo ~t1:iv.hi buf pos)
+          pos)
 
   let mem t =
     {

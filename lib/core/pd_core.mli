@@ -104,8 +104,19 @@ module Slab : sig
       {!Speedscale_chen.Chen.slices} — with no slice record or list
       built. *)
 
-  val fold : ('a -> Schedule.slice -> 'a) -> 'a -> t -> 'a
-  (** Folds in push order. *)
+  val schedule :
+    t ->
+    machines:int ->
+    rejected:int list ->
+    room:int ->
+    (float array -> int -> int) ->
+    Schedule.t
+  (** [schedule s ~machines ~rejected ~room write] copies the pushed
+      records, in push order, into one fresh buffer with [room] free
+      slots after them; [write buf pos] fills up to [room] of those from
+      slot [pos] on and returns the next free slot.  The buffer's record
+      order is then reversed in place and it becomes the schedule
+      ({!Schedule.of_records}).  [s] itself is unchanged. *)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -61,7 +61,7 @@ let round_slice t (sl : Schedule.slice) =
 
 let round_schedule t (s : Schedule.t) =
   Schedule.make ~machines:s.machines ~rejected:s.rejected
-    (List.concat_map (round_slice t) s.slices)
+    (List.concat_map (round_slice t) (Schedule.slices s))
 
 let energy_overhead power t s =
   let base = Schedule.energy power s in

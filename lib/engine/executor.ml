@@ -97,10 +97,10 @@ let replay (inst : Instance.t) (sched : Schedule.t) =
   let energy = Ksum.create () in
   let makespan = ref 0.0 in
   let by_job = Array.make n [] in
-  List.iter
+  Schedule.iter
     (fun (sl : Schedule.slice) ->
       if sl.job >= 0 && sl.job < n then by_job.(sl.job) <- sl :: by_job.(sl.job))
-    sched.slices;
+    sched;
   Array.iteri
     (fun id slices ->
       let job = Instance.job inst id in

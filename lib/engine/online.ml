@@ -435,7 +435,7 @@ struct
         ~rejected:(List.map (fun r -> rank_to_orig.(r)) planned.rejected)
         (List.map
            (fun (s : Schedule.slice) -> { s with job = rank_to_orig.(s.job) })
-           planned.slices)
+           (Schedule.slices planned))
 end
 
 let avr : engine =

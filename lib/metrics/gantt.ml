@@ -10,7 +10,8 @@ let job_glyph id =
 let speed_glyphs = [| ' '; '.'; ':'; '-'; '='; '+'; '#'; '@' |]
 
 let render ?(width = 72) ?(show_speed = true) (s : Schedule.t) =
-  match s.slices with
+  let slices = Schedule.slices s in
+  match slices with
   | [] -> "(empty schedule)"
   | first :: rest ->
     let lo, hi, smax =
@@ -35,7 +36,7 @@ let render ?(width = 72) ?(show_speed = true) (s : Schedule.t) =
           List.find_opt
             (fun (x : Schedule.slice) ->
               x.proc = proc && x.t0 <= t && t < x.t1)
-            s.slices
+            slices
         with
         | None -> ()
         | Some x ->

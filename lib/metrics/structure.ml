@@ -14,7 +14,7 @@ type t = {
 let gap_tol = Feq.tol_snap
 
 let of_schedule (s : Schedule.t) =
-  let slices = s.slices in
+  let slices = Schedule.slices s in
   let by_job = Hashtbl.create 16 in
   List.iter
     (fun (sl : Schedule.slice) ->

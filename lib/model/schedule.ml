@@ -1,69 +1,214 @@
 open Speedscale_util
 
 type slice = { proc : int; t0 : float; t1 : float; job : int; speed : float }
-type t = { machines : int; slices : slice list; rejected : int list }
+
+(* The slices as [len] flat records of [slice_words] floats: a float
+   array's contents are never scanned by the collector and cost one word
+   per field, where a list of boxed records costs about three times that
+   and is all promoted when it survives a minor collection. *)
+type records = { buf : float array; len : int }
+type t = { machines : int; rejected : int list; records : records }
+
+(* ------------------------------------------------------------------ *)
+(* Record layout                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let slice_words = 5
+
+(* Slot [n] holds proc, t0, t1, job, speed at [buf.(5 n) .. buf.(5 n + 4)]. *)
+let write_slice (buf : float array) n s =
+  let o = slice_words * n in
+  buf.(o) <- float_of_int s.proc;
+  buf.(o + 1) <- s.t0;
+  buf.(o + 2) <- s.t1;
+  buf.(o + 3) <- float_of_int s.job;
+  buf.(o + 4) <- s.speed
+
+let read_slice (buf : float array) n =
+  let o = slice_words * n in
+  {
+    proc = int_of_float buf.(o);
+    t0 = buf.(o + 1);
+    t1 = buf.(o + 2);
+    job = int_of_float buf.(o + 3);
+    speed = buf.(o + 4);
+  }
+
+let[@inline always] proc_of (buf : float array) i =
+  int_of_float buf.(slice_words * i)
+
+let[@inline always] t0_of (buf : float array) i = buf.((slice_words * i) + 1)
+let[@inline always] t1_of (buf : float array) i = buf.((slice_words * i) + 2)
+
+let[@inline always] job_of (buf : float array) i =
+  int_of_float buf.((slice_words * i) + 3)
+
+let[@inline always] speed_of (buf : float array) i = buf.((slice_words * i) + 4)
+
+let rev_records (buf : float array) n =
+  let w = slice_words in
+  for i = 0 to (n / 2) - 1 do
+    let a = w * i and b = w * (n - 1 - i) in
+    for k = 0 to w - 1 do
+      let x = buf.(a + k) in
+      buf.(a + k) <- buf.(b + k);
+      buf.(b + k) <- x
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Construction                                                         *)
+(* ------------------------------------------------------------------ *)
 
 (* Tolerance for work-completion and overlap checks: a schedule assembled
    from thousands of slices accumulates rounding in each one. *)
 let work_tol = Feq.tol_loose
 
+let check_machines machines =
+  if machines < 1 then invalid_arg "Schedule.make: machines < 1"
+
+let check ~machines ~proc ~t0 ~t1 ~speed =
+  if proc < 0 || proc >= machines then
+    invalid_arg (Fmt.str "Schedule.make: slice processor %d out of range" proc);
+  if not (Float.is_finite t0 && Float.is_finite t1 && t0 < t1) then
+    invalid_arg "Schedule.make: slice must have t0 < t1 (finite)";
+  if not (Float.is_finite speed) || speed < 0.0 then
+    invalid_arg "Schedule.make: slice speed must be finite >= 0"
+
+(* [check]'s conditions, inlined so a caller holding unboxed floats
+   boxes none on the common path *)
+let[@inline always] valid ~machines ~proc ~t0 ~t1 ~speed =
+  proc >= 0 && proc < machines && Float.is_finite t0 && Float.is_finite t1
+  && t0 < t1 && Float.is_finite speed && speed >= 0.0
+
+let[@inline always] kept ~t0 ~t1 ~speed = speed > 0.0 && (t1 : float) > t0
+
+let finish ~machines ~rejected buf len =
+  {
+    machines;
+    rejected = List.sort_uniq Int.compare rejected;
+    records = { buf; len };
+  }
+
+(* A stored processor beyond the exact-int range of a float reads as -1,
+   which the range check refuses. *)
+let[@inline always] proc_checked (buf : float array) i =
+  let p = buf.(slice_words * i) in
+  if Float.abs p < 0x1p53 then int_of_float p else -1
+
+let of_records ~machines ~rejected buf n =
+  check_machines machines;
+  let len = ref 0 in
+  for i = 0 to n - 1 do
+    let proc = proc_checked buf i in
+    let t0 = t0_of buf i and t1 = t1_of buf i and speed = speed_of buf i in
+    if not (valid ~machines ~proc ~t0 ~t1 ~speed) then
+      (* re-read, so the floats above stay unboxed *)
+      check ~machines ~proc ~t0:(t0_of buf i) ~t1:(t1_of buf i)
+        ~speed:(speed_of buf i);
+    if kept ~t0 ~t1 ~speed then begin
+      if !len < i then
+        Array.blit buf (slice_words * i) buf (slice_words * !len) slice_words;
+      incr len
+    end
+  done;
+  finish ~machines ~rejected buf !len
+
 let make ~machines ~rejected slices =
-  if machines < 1 then invalid_arg "Schedule.make: machines < 1";
-  let check s =
-    if s.proc < 0 || s.proc >= machines then
-      invalid_arg
-        (Fmt.str "Schedule.make: slice processor %d out of range" s.proc);
-    if not (Float.is_finite s.t0 && Float.is_finite s.t1 && s.t0 < s.t1) then
-      invalid_arg "Schedule.make: slice must have t0 < t1 (finite)";
-    if not (Float.is_finite s.speed) || s.speed < 0.0 then
-      invalid_arg "Schedule.make: slice speed must be finite >= 0"
+  check_machines machines;
+  let buf = Array.create_float (slice_words * List.length slices) in
+  let len =
+    List.fold_left
+      (fun len s ->
+        check ~machines ~proc:s.proc ~t0:s.t0 ~t1:s.t1 ~speed:s.speed;
+        if kept ~t0:s.t0 ~t1:s.t1 ~speed:s.speed then begin
+          write_slice buf len s;
+          len + 1
+        end
+        else len)
+      0 slices
   in
-  let slices =
-    List.filter
-      (fun s ->
-        check s;
-        s.speed > 0.0 && s.t1 > s.t0)
-      slices
-  in
-  { machines; slices; rejected = List.sort_uniq Int.compare rejected }
+  finish ~machines ~rejected buf len
+
+(* ------------------------------------------------------------------ *)
+(* Reading the store                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let length t = t.records.len
+
+let iter f t =
+  let { buf; len } = t.records in
+  for i = 0 to len - 1 do
+    f (read_slice buf i)
+  done
+
+let fold f acc t =
+  let { buf; len } = t.records in
+  let acc = ref acc in
+  for i = 0 to len - 1 do
+    acc := f !acc (read_slice buf i)
+  done;
+  !acc
+
+let slices t =
+  let { buf; len } = t.records in
+  let acc = ref [] in
+  for i = len - 1 downto 0 do
+    acc := read_slice buf i :: !acc
+  done;
+  !acc
+
+let jobs t =
+  let { buf; len } = t.records in
+  Array.init len (job_of buf)
 
 let energy power t =
-  Ksum.sum_by
-    (fun s -> Power.energy power ~speed:s.speed ~duration:(s.t1 -. s.t0))
-    t.slices
+  let { buf; len } = t.records in
+  let acc = Ksum.create () in
+  for i = 0 to len - 1 do
+    Ksum.add acc
+      (Power.energy power ~speed:(speed_of buf i)
+         ~duration:(t1_of buf i -. t0_of buf i))
+  done;
+  Ksum.total acc
+
+(* Work per job, one compensated accumulator per id in [0, n), added in
+   slot order. *)
+let work_by_job n t =
+  let { buf; len } = t.records in
+  let work = Array.init n (fun _ -> Ksum.create ()) in
+  for i = 0 to len - 1 do
+    let j = job_of buf i in
+    if j >= 0 && j < n then
+      Ksum.add work.(j) ((t1_of buf i -. t0_of buf i) *. speed_of buf i)
+  done;
+  work
 
 let work_of_job t id =
-  Ksum.sum_by
-    (fun s -> if s.job = id then (s.t1 -. s.t0) *. s.speed else 0.0)
-    t.slices
+  let { buf; len } = t.records in
+  let acc = Ksum.create () in
+  for i = 0 to len - 1 do
+    Ksum.add acc
+      (if job_of buf i = id then (t1_of buf i -. t0_of buf i) *. speed_of buf i
+       else 0.0)
+  done;
+  Ksum.total acc
 
-let finished (inst : Instance.t) t =
-  let n = Instance.n_jobs inst in
-  (* one compensated accumulator per job, one pass over the slices — a
-     work_of_job scan per job is O(n * slices) and dominated E20's wall
-     time at n = 800 *)
-  let work = Array.init n (fun _ -> Ksum.create ()) in
-  List.iter
-    (fun s ->
-      if s.job >= 0 && s.job < n then
-        Ksum.add work.(s.job) ((s.t1 -. s.t0) *. s.speed))
-    t.slices;
-  let rec go i acc =
-    if i < 0 then acc
-    else
+let finished_mask (inst : Instance.t) t =
+  let work = work_by_job (Instance.n_jobs inst) t in
+  Array.mapi
+    (fun i w ->
       let j = Instance.job inst i in
-      let done_ =
-        Ksum.total work.(i) >= j.workload -. (work_tol *. (1.0 +. j.workload))
-      in
-      go (i - 1) (if done_ then i :: acc else acc)
-  in
-  go (n - 1) []
+      Ksum.total w >= j.workload -. (work_tol *. (1.0 +. j.workload)))
+    work
+
+let finished inst t =
+  let fin = finished_mask inst t in
+  List.filter (fun i -> fin.(i)) (List.init (Array.length fin) Fun.id)
 
 let unfinished inst t =
-  let n = Instance.n_jobs inst in
-  let fin = Array.make n false in
-  List.iter (fun i -> fin.(i) <- true) (finished inst t);
-  List.init n Fun.id |> List.filter (fun i -> not fin.(i))
+  let fin = finished_mask inst t in
+  List.filter (fun i -> not fin.(i)) (List.init (Array.length fin) Fun.id)
 
 let cost (inst : Instance.t) t =
   let lost =
@@ -71,28 +216,40 @@ let cost (inst : Instance.t) t =
   in
   Cost.make ~energy:(energy inst.power t) ~lost_value:lost
 
-(* Overlap detection shared by per-processor and per-job checks: sort by
-   start, then each slice must start no earlier than the previous end. *)
-let overlap_free label slices =
-  let sorted = List.sort (fun a b -> Float.compare a.t0 b.t0) slices in
-  let rec go = function
-    | a :: (b :: _ as rest) ->
-      if b.t0 < a.t1 -. work_tol then
-        Error
-          (Fmt.str "%s: slices overlap: [%g,%g) and [%g,%g)" label a.t0
-             a.t1 b.t0 b.t1)
-      else go rest
-    | _ -> Ok ()
-  in
-  go sorted
+(* ------------------------------------------------------------------ *)
+(* Validation                                                           *)
+(* ------------------------------------------------------------------ *)
 
 let ( let* ) = Result.bind
 
-let rec iter_results f = function
-  | [] -> Ok ()
-  | x :: rest ->
-    let* () = f x in
-    iter_results f rest
+(* Slot indices stably sorted by [key] then start: each key's slices in
+   slot order, then by start, as filtering a list per key and sorting it
+   stably by start would give. *)
+let sorted_by key buf len =
+  let idx = Array.init len Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let c = Int.compare (key buf a) (key buf b) in
+      if c <> 0 then c else Float.compare (t0_of buf a) (t0_of buf b))
+    idx;
+  idx
+
+(* Overlap detection shared by per-processor and per-job checks: within a
+   key's run of the sorted slots, each slice must start no earlier than
+   the previous one ends. *)
+let overlap_free label key buf idx =
+  let rec go k =
+    if k + 1 >= Array.length idx then Ok ()
+    else
+      let a = idx.(k) and b = idx.(k + 1) in
+      if key buf a = key buf b && t0_of buf b < t1_of buf a -. work_tol then
+        Error
+          (Fmt.str "%s %d: slices overlap: [%g,%g) and [%g,%g)" label
+             (key buf a) (t0_of buf a) (t1_of buf a) (t0_of buf b)
+             (t1_of buf b))
+      else go (k + 1)
+  in
+  go 0
 
 let validate (inst : Instance.t) (t : t) =
   let* () =
@@ -100,58 +257,56 @@ let validate (inst : Instance.t) (t : t) =
     else Error "schedule machine count differs from instance"
   in
   let n = Instance.n_jobs inst in
-  let* () =
-    iter_results
-      (fun s ->
-        if s.job < 0 || s.job >= n then
-          Error (Fmt.str "slice refers to unknown job %d" s.job)
-        else
-          let j = Instance.job inst s.job in
-          if s.t0 >= j.release -. work_tol && s.t1 <= j.deadline +. work_tol
-          then Ok ()
-          else
-            Error
-              (Fmt.str
-                 "job %d processed on [%g,%g) outside its window [%g,%g)"
-                 s.job s.t0 s.t1 j.release j.deadline))
-      t.slices
-  in
-  let* () =
-    iter_results
-      (fun p ->
-        overlap_free
-          (Fmt.str "processor %d" p)
-          (List.filter (fun s -> s.proc = p) t.slices))
-      (List.init t.machines Fun.id)
-  in
-  let* () =
-    iter_results
-      (fun id ->
-        overlap_free
-          (Fmt.str "job %d" id)
-          (List.filter (fun s -> s.job = id) t.slices))
-      (List.init n Fun.id)
-  in
-  let fin = finished inst t in
-  iter_results
-    (fun id ->
-      if List.mem id t.rejected || List.mem id fin then Ok ()
+  let { buf; len } = t.records in
+  let rec windows i =
+    if i >= len then Ok ()
+    else
+      let id = job_of buf i and t0 = t0_of buf i and t1 = t1_of buf i in
+      if id < 0 || id >= n then
+        Error (Fmt.str "slice refers to unknown job %d" id)
       else
-        Error
-          (Fmt.str "job %d is neither rejected nor finished (work %g/%g)"
-             id (work_of_job t id)
-             (Instance.job inst id).workload))
-    (List.init n Fun.id)
+        let j = Instance.job inst id in
+        if t0 >= j.release -. work_tol && t1 <= j.deadline +. work_tol then
+          windows (i + 1)
+        else
+          Error
+            (Fmt.str "job %d processed on [%g,%g) outside its window [%g,%g)"
+               id t0 t1 j.release j.deadline)
+  in
+  let* () = windows 0 in
+  let* () = overlap_free "processor" proc_of buf (sorted_by proc_of buf len) in
+  let* () = overlap_free "job" job_of buf (sorted_by job_of buf len) in
+  let ok = finished_mask inst t in
+  List.iter (fun id -> if id >= 0 && id < n then ok.(id) <- true) t.rejected;
+  let rec covered id =
+    if id >= n then Ok ()
+    else if ok.(id) then covered (id + 1)
+    else
+      Error
+        (Fmt.str "job %d is neither rejected nor finished (work %g/%g)" id
+           (work_of_job t id) (Instance.job inst id).workload)
+  in
+  covered 0
+
+(* ------------------------------------------------------------------ *)
+(* Per-processor and per-job views                                      *)
+(* ------------------------------------------------------------------ *)
 
 let speed_profile t ~proc =
-  List.filter (fun s -> s.proc = proc) t.slices
-  |> List.map (fun s -> (s.t0, s.t1, s.speed))
+  fold
+    (fun acc s -> if s.proc = proc then (s.t0, s.t1, s.speed) :: acc else acc)
+    [] t
   |> List.sort compare
 
 let slice_at t ~proc time =
-  List.find_opt
-    (fun s -> s.proc = proc && s.t0 <= time && time < s.t1)
-    t.slices
+  let { buf; len } = t.records in
+  let rec go i =
+    if i >= len then None
+    else if proc_of buf i = proc && t0_of buf i <= time && time < t1_of buf i
+    then Some (read_slice buf i)
+    else go (i + 1)
+  in
+  go 0
 
 let speed_at t ~proc time =
   match slice_at t ~proc time with Some s -> s.speed | None -> 0.0
@@ -160,8 +315,7 @@ let running_at t ~proc time =
   Option.map (fun s -> s.job) (slice_at t ~proc time)
 
 let busy_intervals t ~job =
-  List.filter (fun s -> s.job = job) t.slices
-  |> List.map (fun s -> (s.t0, s.t1))
+  fold (fun acc s -> if s.job = job then (s.t0, s.t1) :: acc else acc) [] t
   |> List.sort compare
 
 let pp ppf t =

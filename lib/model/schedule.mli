@@ -20,16 +20,68 @@ type slice = {
   speed : float;  (** constant speed [> 0] on the slice *)
 }
 
+type records
+(** The slices as flat float records (see {!slice_words}); read them with
+    {!slices}, {!iter}, {!fold} or {!length}.  The store may hold spare
+    slots past the last slice, so polymorphic equality on [t] is not
+    slice equality: compare {!slices}. *)
+
 type t = private {
   machines : int;
-  slices : slice list;
   rejected : int list;  (** job ids the algorithm chose not to finish *)
+  records : records;
 }
 
 val make : machines:int -> rejected:int list -> slice list -> t
 (** Basic shape validation only (processor range, positive duration and
     speed); semantic validation against an instance is {!validate}.  Slices
-    of zero speed or zero duration are dropped. *)
+    of zero speed or zero duration are dropped; the rest keep their list
+    order.  Raises [Invalid_argument] at the first slice that fails a
+    check, in list order. *)
+
+(** {2 Slice records}
+
+    This module owns the flat layout that PD's accumulators, Chen's
+    realization and the schedule itself share: one record of
+    {!slice_words} floats per slice, so slot [i] of a buffer is
+    [buf.(5 i) .. buf.(5 i + 4)] holding processor, start, end, job id and
+    speed.  Processor and job ids round-trip exactly while
+    [|id| < 2^53]. *)
+
+val slice_words : int
+
+val write_slice : float array -> int -> slice -> unit
+(** [write_slice buf i s] stores [s] in slot [i]. *)
+
+val read_slice : float array -> int -> slice
+(** [read_slice buf i] is the slice stored in slot [i]. *)
+
+val rev_records : float array -> int -> unit
+(** [rev_records buf n] reverses the order of slots [0 .. n-1] in place. *)
+
+val of_records :
+  machines:int -> rejected:int list -> float array -> int -> t
+(** [of_records ~machines ~rejected buf n] is the schedule of the [n]
+    slices in slots [0 .. n-1] of [buf], in slot order, and takes
+    ownership of [buf]: the caller must not use it afterwards.  It runs
+    {!make}'s checks, in slot order and with {!make}'s messages, and drops
+    zero-speed or zero-length slices by compacting [buf] in place, so
+    [of_records ~machines ~rejected buf n] and [make ~machines ~rejected
+    l] agree whenever [buf] holds [l]'s slices. *)
+
+(** {2 Reading a schedule} *)
+
+val length : t -> int
+(** Number of slices. *)
+
+val slices : t -> slice list
+(** The slices in order, as a freshly built list. *)
+
+val iter : (slice -> unit) -> t -> unit
+val fold : ('a -> slice -> 'a) -> 'a -> t -> 'a
+
+val jobs : t -> int array
+(** The job id of every slice, in order. *)
 
 val energy : Power.t -> t -> float
 (** Total energy [Σ_slices (t1 - t0) · speed^α]. *)
@@ -50,7 +102,8 @@ val cost : Instance.t -> t -> Cost.t
 val validate : Instance.t -> t -> (unit, string) result
 (** Full feasibility check: slice shape, processor/job overlap freedom,
     window containment, and that every non-rejected job is finished.  The
-    first violated rule is reported. *)
+    first violated rule is reported.  O(s log s + n) for [s] slices and
+    [n] jobs: one stable sort per overlap key. *)
 
 val speed_profile : t -> proc:int -> (float * float * float) list
 (** [(t0, t1, speed)] runs of one processor, sorted by time. *)

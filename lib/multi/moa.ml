@@ -17,7 +17,7 @@ let plan_slices ~power ~machines : Speedscale_single.Oa_engine.plan_fn =
   in
   List.map
     (fun (s : Schedule.slice) -> { s with job = rank_to_orig.(s.job) })
-    planned.slices
+    (Schedule.slices planned)
 
 let start ~power ~machines () =
   Speedscale_single.Oa_engine.start ~machines

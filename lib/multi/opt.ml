@@ -71,7 +71,7 @@ let best_schedule (inst : Instance.t) =
     let slices =
       List.map
         (fun (s : Schedule.slice) -> { s with job = rank_to_orig.(s.job) })
-        sched.slices
+        (Schedule.slices sched)
     in
     (r, Schedule.make ~machines:inst.machines ~rejected slices)
   end

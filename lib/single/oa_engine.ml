@@ -39,7 +39,6 @@ type t = {
   remaining : (int, float) Hashtbl.t;  (* accepted unfinished id -> work *)
   accepted : (int, Job.t) Hashtbl.t;  (* id -> stored (possibly viewed) job *)
   seen_ids : (int, unit) Hashtbl.t;
-  mutable seen_rev : Job.t list;  (* stored arrivals, newest first *)
   mutable rejected_rev : int list;
   mutable executed : Schedule.slice list;  (* committed, newest batch first *)
 }
@@ -57,7 +56,6 @@ let start ~machines ~plan ?(admit = admit_all) ?(must_finish = false) () =
     remaining = Hashtbl.create 16;
     accepted = Hashtbl.create 16;
     seen_ids = Hashtbl.create 16;
-    seen_rev = [];
     rejected_rev = [];
     executed = [];
   }
@@ -114,7 +112,6 @@ let step t (j : Job.t) =
     else j
   in
   Hashtbl.replace t.seen_ids j.id ();
-  t.seen_rev <- stored :: t.seen_rev;
   let candidate = adjusted ~now:t.now stored ~remaining:stored.workload in
   let plan = plan_jobs t ~now:t.now @ [ candidate ] in
   let verdict = t.admit ~now:t.now ~plan ~candidate in
@@ -124,10 +121,6 @@ let step t (j : Job.t) =
   end
   else t.rejected_rev <- stored.id :: t.rejected_rev;
   verdict
-
-let now t = t.now
-let seen t = List.rev t.seen_rev
-let rejected t = t.rejected_rev
 
 let current_plan t =
   let tail =

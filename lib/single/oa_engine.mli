@@ -68,17 +68,6 @@ val step : t -> Job.t -> verdict
     release order with distinct ids; raises [Invalid_argument]
     otherwise. *)
 
-val now : t -> float
-(** Release time of the last arrival ([neg_infinity] before the first). *)
-
-val seen : t -> Job.t list
-(** Every arrival so far, in arrival order, as stored (i.e. with the
-    must-finish view applied when configured). *)
-
-val rejected : t -> int list
-(** Ids the admission test refused, newest first (the accumulation order
-    the batch simulation used). *)
-
 val current_plan : t -> Schedule.t
 (** Executed slices so far plus the standing plan for all remaining work,
     as one schedule.  Pure: does not advance the state, so it can be read

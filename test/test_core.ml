@@ -450,7 +450,7 @@ let test_gc_flat_residency_on_expired_stream () =
   (* flushing loses nothing: every accepted job still has its one slice
      in the assembled schedule *)
   Alcotest.(check int) "schedule covers the whole history" n
-    (List.length (Pd.schedule pd).Schedule.slices)
+    (Schedule.length (Pd.schedule pd))
 
 (* ------------------------------------------------------------------ *)
 (* Tline — the order-statistics tree under the PD timeline               *)
@@ -723,6 +723,85 @@ let test_arrive_allocation_budget () =
        alloc_ceiling)
     true
     (per_arrival <= alloc_ceiling)
+
+(* Bits and order of the assembled schedules.  [Pd.schedule] and
+   [Npd.schedule] copy the gc accumulator's flat records and write the
+   live intervals after them; the digest covers every slice field's bits
+   in list order, as recorded while both built the list slice by slice,
+   so a change of copy order or of record layout fails here. *)
+let slices_digest (s : Schedule.t) =
+  let b = Buffer.create 4096 in
+  Schedule.iter
+    (fun (x : Schedule.slice) ->
+      Buffer.add_int64_le b (Int64.of_int x.proc);
+      Buffer.add_int64_le b (Int64.bits_of_float x.t0);
+      Buffer.add_int64_le b (Int64.bits_of_float x.t1);
+      Buffer.add_int64_le b (Int64.of_int x.job);
+      Buffer.add_int64_le b (Int64.bits_of_float x.speed))
+    s;
+  Printf.sprintf "%d %s" (Schedule.length s)
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_schedule_bit_pins () =
+  let module G = Speedscale_workload.Generate in
+  List.iter
+    (fun (name, (inst : Instance.t), pd_pin, npd_pin) ->
+      let pd = Pd.create ~gc:true ~power:p3 ~machines:inst.machines () in
+      let npd = Npd.create ~gc:true ~power:p3 ~machines:inst.machines () in
+      Array.iter
+        (fun j ->
+          ignore (Pd.arrive pd j);
+          ignore (Npd.arrive npd j))
+        inst.jobs;
+      Alcotest.(check string) (name ^ " PD") pd_pin
+        (slices_digest (Pd.schedule pd));
+      Alcotest.(check string) (name ^ " NPD") npd_pin
+        (slices_digest (Npd.schedule npd)))
+    [
+      ( "diurnal m=8",
+        G.diurnal ~power:p3 ~machines:8 ~seed:1 ~n:3000 (),
+        "83677 e670fa5f5afdff69150c24dcd56aaded",
+        "1796 a56e7983b223d35bcd045aa16fae2d93" );
+      ( "datacenter m=4",
+        G.datacenter ~power:p3 ~machines:4 ~seed:1 ~n:3000,
+        "15230 ab1b8f1189c7bee18e159ca4fea00a29",
+        "1305 ac4a38f7591fa9c4ef51be749e46327a" );
+    ]
+
+(* Allocation of [Pd.schedule] per slice, on diurnal-k1's stream
+   (diurnal m = 8, 20 000 arrivals) with gc on, the configuration
+   Online.pd runs: minor words plus words allocated straight into the
+   major heap.  Copying the slab's records into one flat buffer costs
+   [Schedule.slice_words] = 5 words a slice; on top comes a cost per live
+   interval, not per slice, for the Chen partitions the last arrivals
+   left unbuilt (about 0.45 words a slice here, 2 on a 3000-arrival
+   stream).  It was 5.4 when recorded, and about 18 while every slice was
+   rebuilt as a boxed record in a list and copied into another. *)
+let finalize_words_cap = 6.0
+
+let test_finalize_allocation () =
+  let inst =
+    Speedscale_workload.Generate.diurnal ~power:p3 ~machines:8 ~seed:1
+      ~n:20000 ()
+  in
+  let pd = Pd.create ~gc:true ~power:inst.power ~machines:inst.machines () in
+  Array.iter (fun j -> ignore (Pd.arrive pd j)) inst.jobs;
+  let s0 = Gc.quick_stat () in
+  let sched = Pd.schedule pd in
+  let s1 = Gc.quick_stat () in
+  let words =
+    s1.minor_words -. s0.minor_words
+    +. (s1.major_words -. s0.major_words)
+    -. (s1.promoted_words -. s0.promoted_words)
+  in
+  let per_slice = words /. float_of_int (Schedule.length sched) in
+  Printf.printf "words per slice: %.2f over %d slices\n" per_slice
+    (Schedule.length sched);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per slice <= %.0f" per_slice
+       finalize_words_cap)
+    true
+    (per_slice <= finalize_words_cap)
 
 (* Sweep budget of the crossing search, on the allocation budget's
    stream.  A window sweep costs one probe per window interval, so
@@ -1012,6 +1091,54 @@ let prop_framework_instantiation_matches_pd =
         QCheck.Test.fail_reportf "certificate drifted between Pd and framework"
       else true)
 
+(* NPD's gc bounds its memory as PD's does.  On a diurnal m = 8 stream
+   and one four times longer, the live-slot and dup-id gauges stay at a
+   few dozen (a gc-off state holds every slot and id), so the longer
+   stream does not grow them; and on the shorter stream the gc state
+   decides the same lambda bits and schedules the same slices as a gc-off
+   state.  gc lists flushed slots after the live ones rather than
+   machine by machine, so the slices are compared as sorted lists. *)
+let test_npd_gc_bounded () =
+  let stream n =
+    Speedscale_workload.Generate.diurnal ~power:p3 ~machines:8 ~seed:1 ~n ()
+  in
+  let run ~gc (inst : Instance.t) =
+    let t = Npd.create ~gc ~power:inst.power ~machines:inst.machines () in
+    let lambdas =
+      Array.map (fun j -> Int64.bits_of_float (Npd.arrive t j).lambda) inst.jobs
+    in
+    (t, lambdas)
+  in
+  let n = 1000 in
+  let short = stream n and long = stream (4 * n) in
+  let t_short, l_short = run ~gc:true short in
+  let t_long, _ = run ~gc:true long in
+  let m_short = Npd.mem t_short and m_long = Npd.mem t_long in
+  let bounded name short long =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d at n, %d at 4n" name short long)
+      true
+      (long <= 2 * short && long < n / 10)
+  in
+  bounded "max live slots" m_short.max_live_intervals m_long.max_live_intervals;
+  bounded "max table entries" m_short.max_table_entries
+    m_long.max_table_entries;
+  Alcotest.(check bool) "gc flushed" true (m_long.flushed_intervals > n);
+  let t_full, l_full = run ~gc:false short in
+  Alcotest.(check bool) "lambda bits = gc off" true (l_short = l_full);
+  let sorted t =
+    List.sort compare
+      (List.map
+         (fun (s : Schedule.slice) ->
+           ( s.proc,
+             Int64.bits_of_float s.t0,
+             Int64.bits_of_float s.t1,
+             s.job,
+             Int64.bits_of_float s.speed ))
+         (Schedule.slices (Npd.schedule t)))
+  in
+  Alcotest.(check bool) "slices = gc off" true (sorted t_short = sorted t_full)
+
 (* The certificate reads only the decisions, so a gc state — the
    configuration Online.pd runs — certifies too: on a stream long enough
    that gc flushes most of the timeline, Theorem 3 holds, and g is the
@@ -1077,6 +1204,9 @@ let () =
           Alcotest.test_case "allocation budget" `Quick
             test_arrive_allocation_budget;
           Alcotest.test_case "sweep budget" `Quick test_arrive_sweep_budget;
+          Alcotest.test_case "schedule bit pins" `Quick test_schedule_bit_pins;
+          Alcotest.test_case "finalize allocation" `Quick
+            test_finalize_allocation;
           q prop_pd_paths_equivalent;
         ] );
       ( "gc",
@@ -1084,6 +1214,7 @@ let () =
           q prop_pd_gc_long_stream_oracle;
           Alcotest.test_case "flat residency on expired stream" `Quick
             test_gc_flat_residency_on_expired_stream;
+          Alcotest.test_case "npd bounded memory" `Quick test_npd_gc_bounded;
           q prop_tline_matches_sorted_assoc_model;
         ] );
       ( "framework",

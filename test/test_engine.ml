@@ -221,7 +221,7 @@ let prop_fault_injection_differential =
     (fun (setup, pick) ->
       let inst = instance_of setup in
       let r = Speedscale_core.Pd.run inst in
-      let slices = r.schedule.slices in
+      let slices = Schedule.slices r.schedule in
       QCheck.assume (slices <> []);
       let victim = List.nth slices (pick mod List.length slices) in
       let damaged =

@@ -183,7 +183,7 @@ let prop_flow_schedule_respects_cap =
         | Error e -> QCheck.Test.fail_reportf "infeasible: %s" e);
         List.for_all
           (fun (sl : Schedule.slice) -> sl.speed <= cap *. (1.0 +. 1e-6))
-          s.slices)
+          (Schedule.slices s))
 
 (* min cap on a single machine equals the YDS maximum density *)
 let gen_jobs =

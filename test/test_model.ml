@@ -300,7 +300,204 @@ let test_schedule_drops_null_slices () =
   let s =
     Schedule.make ~machines:1 ~rejected:[] [ slice 0 0.0 1.0 0 0.0 ]
   in
-  Alcotest.(check int) "zero-speed dropped" 0 (List.length s.slices)
+  Alcotest.(check int) "zero-speed dropped" 0 (Schedule.length s)
+
+(* [Schedule.of_records] on a buffer holding a list's slices agrees with
+   [Schedule.make] on the list: the same slices in the same order, or the
+   same [Invalid_argument] message.  The lists mix valid slices with
+   zero-speed and zero-length ones, processors out of range, non-finite
+   times and speeds, and t0 >= t1. *)
+let gen_raw_slice machines =
+  let open QCheck.Gen in
+  let time =
+    frequency
+      [
+        (8, map (fun k -> float_of_int k /. 2.0) (int_range 0 8));
+        (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0 ]);
+      ]
+  in
+  let speed =
+    frequency
+      [
+        (6, oneofl [ 0.5; 1.0; 2.5 ]);
+        (2, return 0.0);
+        (1, oneofl [ -1.0; Float.nan; Float.infinity ]);
+      ]
+  in
+  map
+    (fun ((proc, job), (t0, t1), sp) -> slice proc t0 t1 job sp)
+    (triple
+       (pair (int_range (-1) machines) (int_range (-2) 20))
+       (pair time time) speed)
+
+let gen_raw_schedule =
+  QCheck.Gen.(
+    int_range 0 3 >>= fun machines ->
+    pair (return machines)
+      (pair
+         (list_size (int_range 0 12) (gen_raw_slice machines))
+         (list_size (int_range 0 4) (int_range 0 20))))
+
+let print_raw_schedule (machines, (slices, _)) =
+  Printf.sprintf "m=%d [%s]" machines
+    (String.concat "; "
+       (List.map
+          (fun (s : Schedule.slice) ->
+            Printf.sprintf "p%d [%h,%h) j%d @%h" s.proc s.t0 s.t1 s.job s.speed)
+          slices))
+
+let schedule_outcome f =
+  match f () with
+  | (s : Schedule.t) ->
+    let bits (x : Schedule.slice) =
+      ( x.proc,
+        Int64.bits_of_float x.t0,
+        Int64.bits_of_float x.t1,
+        x.job,
+        Int64.bits_of_float x.speed )
+    in
+    Ok (List.map bits (Schedule.slices s), s.rejected, Schedule.length s)
+  | exception Invalid_argument m -> Error m
+
+let prop_of_records_matches_make =
+  QCheck.Test.make ~name:"of_records = make on random slice lists" ~count:500
+    (QCheck.make ~print:print_raw_schedule gen_raw_schedule)
+    (fun (machines, (slices, rejected)) ->
+      let via_make =
+        schedule_outcome (fun () -> Schedule.make ~machines ~rejected slices)
+      in
+      let via_records =
+        schedule_outcome (fun () ->
+            let buf =
+              Array.make (Schedule.slice_words * List.length slices) 0.0
+            in
+            List.iteri (Schedule.write_slice buf) slices;
+            Schedule.of_records ~machines ~rejected buf (List.length slices))
+      in
+      if via_make = via_records then true
+      else
+        QCheck.Test.fail_reportf "make and of_records disagree (%s vs %s)"
+          (match via_make with Ok _ -> "ok" | Error m -> m)
+          (match via_records with Ok _ -> "ok" | Error m -> m))
+
+(* The list-based validator [Schedule.validate] replaced: a filter and a
+   sort per processor and per job, and list membership for the rejected
+   and finished ids.  The sorted rewrite must report the same first
+   violation with the same message. *)
+let reference_validate (inst : Instance.t) (t : Schedule.t) =
+  let ( let* ) = Result.bind in
+  let tol = Feq.tol_loose in
+  let slices = Schedule.slices t in
+  let rec all f = function
+    | [] -> Ok ()
+    | x :: rest ->
+      let* () = f x in
+      all f rest
+  in
+  let overlap_free label group =
+    let sorted =
+      List.sort (fun (a : Schedule.slice) b -> Float.compare a.t0 b.t0) group
+    in
+    let rec go = function
+      | (a : Schedule.slice) :: (b :: _ as rest) ->
+        if b.t0 < a.t1 -. tol then
+          Error
+            (Fmt.str "%s: slices overlap: [%g,%g) and [%g,%g)" label a.t0
+               a.t1 b.t0 b.t1)
+        else go rest
+      | _ -> Ok ()
+    in
+    go sorted
+  in
+  let* () =
+    if t.machines = inst.machines then Ok ()
+    else Error "schedule machine count differs from instance"
+  in
+  let n = Instance.n_jobs inst in
+  let* () =
+    all
+      (fun (s : Schedule.slice) ->
+        if s.job < 0 || s.job >= n then
+          Error (Fmt.str "slice refers to unknown job %d" s.job)
+        else
+          let j = Instance.job inst s.job in
+          if s.t0 >= j.release -. tol && s.t1 <= j.deadline +. tol then Ok ()
+          else
+            Error
+              (Fmt.str
+                 "job %d processed on [%g,%g) outside its window [%g,%g)"
+                 s.job s.t0 s.t1 j.release j.deadline))
+      slices
+  in
+  let* () =
+    all
+      (fun p ->
+        overlap_free (Fmt.str "processor %d" p)
+          (List.filter (fun (s : Schedule.slice) -> s.proc = p) slices))
+      (List.init t.machines Fun.id)
+  in
+  let* () =
+    all
+      (fun id ->
+        overlap_free (Fmt.str "job %d" id)
+          (List.filter (fun (s : Schedule.slice) -> s.job = id) slices))
+      (List.init n Fun.id)
+  in
+  let work id =
+    Ksum.sum_by
+      (fun (s : Schedule.slice) ->
+        if s.job = id then (s.t1 -. s.t0) *. s.speed else 0.0)
+      slices
+  in
+  all
+    (fun id ->
+      let j = Instance.job inst id in
+      let finished = work id >= j.workload -. (tol *. (1.0 +. j.workload)) in
+      if List.mem id t.rejected || finished then Ok ()
+      else
+        Error
+          (Fmt.str "job %d is neither rejected nor finished (work %g/%g)" id
+             (work id) j.workload))
+    (List.init n Fun.id)
+
+let gen_validate_case =
+  let open QCheck.Gen in
+  let half k = float_of_int k /. 2.0 in
+  int_range 1 3 >>= fun machines ->
+  int_range 1 5 >>= fun n ->
+  let job id =
+    map
+      (fun (r, len) ->
+        mk_job ~id ~r:(half r) ~d:(half (r + len)) ~w:(half len) ~v:1.0 ())
+      (pair (int_range 0 4) (int_range 1 6))
+  in
+  let sl =
+    map
+      (fun ((proc, job), (a, len), speed) ->
+        slice proc (half a) (half (a + len)) job speed)
+      (triple
+         (pair (int_range 0 (machines - 1)) (int_range (-1) n))
+         (pair (int_range 0 8) (int_range 1 4))
+         (oneofl [ 0.5; 1.0; 2.0 ]))
+  in
+  triple
+    (map (fun jobs -> Instance.make ~power:p3 ~machines jobs)
+       (flatten_l (List.init n job)))
+    (list_size (int_range 0 10) sl)
+    (list_size (int_range 0 n) (int_range 0 (n - 1)))
+
+let prop_validate_matches_reference =
+  QCheck.Test.make ~name:"validate = list-based reference" ~count:1000
+    (QCheck.make gen_validate_case)
+    (fun (inst, slices, rejected) ->
+      let t = Schedule.make ~machines:inst.machines ~rejected slices in
+      let got = Schedule.validate inst t
+      and want = reference_validate inst t in
+      if got = want then true
+      else
+        QCheck.Test.fail_reportf "validate %s, reference %s"
+          (match got with Ok () -> "Ok" | Error e -> e)
+          (match want with Ok () -> "Ok" | Error e -> e))
 
 (* ------------------------------------------------------------------ *)
 (* Io                                                                  *)
@@ -746,5 +943,7 @@ let () =
           Alcotest.test_case "profiles" `Quick test_schedule_profiles;
           Alcotest.test_case "speed_at" `Quick test_schedule_speed_at;
           Alcotest.test_case "null slices" `Quick test_schedule_drops_null_slices;
+          q prop_of_records_matches_make;
+          q prop_validate_matches_reference;
         ] );
     ]
