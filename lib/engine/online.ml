@@ -384,14 +384,16 @@ let mcll : engine =
    functions of the available jobs (density profiles), so the standing
    plan after k arrivals is the batch plan of the k-prefix — executing
    incrementally and replanning from scratch coincide.  The adapter
-   accumulates the prefix and re-derives the plan on demand. *)
+   accumulates the prefix and re-derives the plan on demand.  The batch
+   planners finish every job, so the plan rejects nothing; they hand back
+   their slice list, renumbered here and made into a schedule once. *)
 module Accumulate (S : sig
   val name : string
   val description : string
   val family : family
   val applicable : params -> bool
   val must_finish : bool
-  val batch : Instance.t -> Schedule.t
+  val batch : Instance.t -> Schedule.slice list
 end) =
 struct
   let name = S.name
@@ -430,12 +432,10 @@ struct
       let sub =
         Instance.make ~power:core.p.power ~machines:core.p.machines viewed
       in
-      let planned = S.batch sub in
-      Schedule.make ~machines:core.p.machines
-        ~rejected:(List.map (fun r -> rank_to_orig.(r)) planned.rejected)
+      Schedule.make ~machines:core.p.machines ~rejected:[]
         (List.map
            (fun (s : Schedule.slice) -> { s with job = rank_to_orig.(s.job) })
-           (Schedule.slices planned))
+           (S.batch sub))
 end
 
 let avr : engine =
@@ -445,7 +445,7 @@ let avr : engine =
     let family = Preemptive
     let applicable = single_only
     let must_finish = true
-    let batch = Avr.schedule
+    let batch = Avr.slices
   end)))
 
 let bkp : engine =
@@ -455,7 +455,7 @@ let bkp : engine =
     let family = Preemptive
     let applicable = single_only
     let must_finish = true
-    let batch inst = Bkp.schedule inst
+    let batch inst = Bkp.slices inst
   end)))
 
 let mavr : engine =
@@ -465,7 +465,7 @@ let mavr : engine =
     let family = Migratory
     let applicable = any_machines
     let must_finish = true
-    let batch = Mavr.schedule
+    let batch = Mavr.slices
   end)))
 
 (* Partitioned: the pinning is genuinely per-arrival (greedy against the

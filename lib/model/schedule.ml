@@ -67,68 +67,51 @@ let work_tol = Feq.tol_loose
 let check_machines machines =
   if machines < 1 then invalid_arg "Schedule.make: machines < 1"
 
-let check ~machines ~proc ~t0 ~t1 ~speed =
+(* Ids are stored as floats, which hold an int exactly only below 2^53. *)
+let exact_id x = Float.abs x < 0x1p53
+
+(* Slot [i]'s shape checks, with [make]'s messages.  The floats are read
+   here, so the common path boxes none. *)
+let[@inline] check_slot ~machines (buf : float array) i =
+  let o = slice_words * i in
+  let p = buf.(o) in
+  if not (exact_id p) then
+    invalid_arg (Fmt.str "Schedule.make: slice processor %.0f out of range" p);
+  let proc = int_of_float p in
   if proc < 0 || proc >= machines then
     invalid_arg (Fmt.str "Schedule.make: slice processor %d out of range" proc);
+  let t0 = buf.(o + 1) and t1 = buf.(o + 2) in
   if not (Float.is_finite t0 && Float.is_finite t1 && t0 < t1) then
     invalid_arg "Schedule.make: slice must have t0 < t1 (finite)";
+  let speed = buf.(o + 4) in
   if not (Float.is_finite speed) || speed < 0.0 then
-    invalid_arg "Schedule.make: slice speed must be finite >= 0"
-
-(* [check]'s conditions, inlined so a caller holding unboxed floats
-   boxes none on the common path *)
-let[@inline always] valid ~machines ~proc ~t0 ~t1 ~speed =
-  proc >= 0 && proc < machines && Float.is_finite t0 && Float.is_finite t1
-  && t0 < t1 && Float.is_finite speed && speed >= 0.0
-
-let[@inline always] kept ~t0 ~t1 ~speed = speed > 0.0 && (t1 : float) > t0
-
-let finish ~machines ~rejected buf len =
-  {
-    machines;
-    rejected = List.sort_uniq Int.compare rejected;
-    records = { buf; len };
-  }
-
-(* A stored processor beyond the exact-int range of a float reads as -1,
-   which the range check refuses. *)
-let[@inline always] proc_checked (buf : float array) i =
-  let p = buf.(slice_words * i) in
-  if Float.abs p < 0x1p53 then int_of_float p else -1
+    invalid_arg "Schedule.make: slice speed must be finite >= 0";
+  let j = buf.(o + 3) in
+  if not (exact_id j) then
+    invalid_arg (Fmt.str "Schedule.make: slice job id %.0f out of range" j)
 
 let of_records ~machines ~rejected buf n =
   check_machines machines;
   let len = ref 0 in
   for i = 0 to n - 1 do
-    let proc = proc_checked buf i in
-    let t0 = t0_of buf i and t1 = t1_of buf i and speed = speed_of buf i in
-    if not (valid ~machines ~proc ~t0 ~t1 ~speed) then
-      (* re-read, so the floats above stay unboxed *)
-      check ~machines ~proc ~t0:(t0_of buf i) ~t1:(t1_of buf i)
-        ~speed:(speed_of buf i);
-    if kept ~t0 ~t1 ~speed then begin
+    check_slot ~machines buf i;
+    if speed_of buf i > 0.0 && t1_of buf i > t0_of buf i then begin
       if !len < i then
         Array.blit buf (slice_words * i) buf (slice_words * !len) slice_words;
       incr len
     end
   done;
-  finish ~machines ~rejected buf !len
+  {
+    machines;
+    rejected = List.sort_uniq Int.compare rejected;
+    records = { buf; len = !len };
+  }
 
 let make ~machines ~rejected slices =
-  check_machines machines;
-  let buf = Array.create_float (slice_words * List.length slices) in
-  let len =
-    List.fold_left
-      (fun len s ->
-        check ~machines ~proc:s.proc ~t0:s.t0 ~t1:s.t1 ~speed:s.speed;
-        if kept ~t0:s.t0 ~t1:s.t1 ~speed:s.speed then begin
-          write_slice buf len s;
-          len + 1
-        end
-        else len)
-      0 slices
-  in
-  finish ~machines ~rejected buf len
+  let n = List.length slices in
+  let buf = Array.create_float (slice_words * n) in
+  List.iteri (write_slice buf) slices;
+  of_records ~machines ~rejected buf n
 
 (* ------------------------------------------------------------------ *)
 (* Reading the store                                                    *)

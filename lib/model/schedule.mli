@@ -34,10 +34,12 @@ type t = private {
 
 val make : machines:int -> rejected:int list -> slice list -> t
 (** Basic shape validation only (processor range, positive duration and
-    speed); semantic validation against an instance is {!validate}.  Slices
-    of zero speed or zero duration are dropped; the rest keep their list
-    order.  Raises [Invalid_argument] at the first slice that fails a
-    check, in list order. *)
+    speed, and processor and job ids below [2^53] in magnitude, the range a
+    float holds exactly); semantic validation against an instance is
+    {!validate}.  Slices of zero speed or zero duration are dropped; the
+    rest keep their list order.  Raises [Invalid_argument] at the first
+    slice that fails a check, in list order.  It is {!of_records} on a
+    fresh buffer holding the list. *)
 
 (** {2 Slice records}
 
@@ -46,7 +48,7 @@ val make : machines:int -> rejected:int list -> slice list -> t
     {!slice_words} floats per slice, so slot [i] of a buffer is
     [buf.(5 i) .. buf.(5 i + 4)] holding processor, start, end, job id and
     speed.  Processor and job ids round-trip exactly while
-    [|id| < 2^53]. *)
+    [|id| < 2^53]; {!make} and {!of_records} reject any other. *)
 
 val slice_words : int
 

@@ -8,7 +8,7 @@ let interval_loads (inst : Instance.t) ~lo ~hi =
          if Job.covers j ~lo ~hi then Some (j.id, Job.density j *. (hi -. lo))
          else None)
 
-let schedule (inst : Instance.t) =
+let slices (inst : Instance.t) =
   let tl = Timeline.of_jobs (Array.to_list inst.jobs) in
   let slices = ref [] in
   for k = 0 to Timeline.n_intervals tl - 1 do
@@ -19,7 +19,10 @@ let schedule (inst : Instance.t) =
       let chen = Chen.build ~machines:inst.machines ~length:(hi -. lo) loads in
       slices := Chen.slices chen ~t0:lo ~t1:hi @ !slices
   done;
-  Schedule.make ~machines:inst.machines ~rejected:[] !slices
+  !slices
+
+let schedule (inst : Instance.t) =
+  Schedule.make ~machines:inst.machines ~rejected:[] (slices inst)
 
 let energy (inst : Instance.t) =
   let tl = Timeline.of_jobs (Array.to_list inst.jobs) in

@@ -16,4 +16,7 @@ open Speedscale_model
 val schedule : Instance.t -> Schedule.t
 (** Values are ignored: every job is finished. *)
 
+val slices : Instance.t -> Schedule.slice list
+(** {!schedule}'s slices as a list, before {!Schedule.make}. *)
+
 val energy : Instance.t -> float

@@ -9,15 +9,16 @@ let plan_slices ~power ~machines : Speedscale_single.Oa_engine.plan_fn =
   let rank_to_orig = Array.of_list (List.map (fun (j : Job.t) -> j.id) jobs) in
   let sub = Instance.make ~power ~machines jobs in
   let planned =
-    if machines = 1 then Speedscale_single.Yds.schedule sub
+    if machines = 1 then
+      Speedscale_single.Yds.schedule_slices (Array.to_list sub.jobs)
     else
       let cp = Cp.make sub in
       let sol = Cp.solve ~max_iters:800 cp Must_finish in
-      Cp.to_schedule cp sol.x
+      snd (Cp.to_slices cp sol.x)
   in
   List.map
     (fun (s : Schedule.slice) -> { s with job = rank_to_orig.(s.job) })
-    (Schedule.slices planned)
+    planned
 
 let start ~power ~machines () =
   Speedscale_single.Oa_engine.start ~machines

@@ -23,7 +23,7 @@ let energy (inst : Instance.t) =
   done;
   Ksum.total acc
 
-let schedule (inst : Instance.t) =
+let slices (inst : Instance.t) =
   check_single inst;
   let tl = Timeline.of_jobs (Array.to_list inst.jobs) in
   let slices = ref [] in
@@ -54,4 +54,6 @@ let schedule (inst : Instance.t) =
         inst.jobs
     end
   done;
-  Schedule.make ~machines:1 ~rejected:[] !slices
+  !slices
+
+let schedule inst = Schedule.make ~machines:1 ~rejected:[] (slices inst)

@@ -13,6 +13,10 @@ open Speedscale_model
 val schedule : Instance.t -> Schedule.t
 (** Requires [machines = 1]. *)
 
+val slices : Instance.t -> Schedule.slice list
+(** {!schedule}'s slices as a list, before {!Schedule.make}: what a caller
+    that renumbers jobs and builds its own schedule reads. *)
+
 val energy : Instance.t -> float
 (** [∫ (Σ_available density_j)^α dt], computed in closed form over atomic
     intervals. *)

@@ -101,7 +101,7 @@ let profile_of (inst : Instance.t) ~steps =
   done;
   List.rev !segs
 
-let schedule ?(steps_per_interval = 64) (inst : Instance.t) =
+let slices ?(steps_per_interval = 64) (inst : Instance.t) =
   check_single inst;
   let rec attempt steps tries =
     let slices, remaining = edf_over inst (profile_of inst ~steps) in
@@ -110,11 +110,13 @@ let schedule ?(steps_per_interval = 64) (inst : Instance.t) =
         (fun r -> r > Speedscale_util.Feq.tol_loose *. (1.0 +. Array.fold_left Float.max 0.0 remaining))
         remaining
     in
-    if (not unfinished) || tries = 0 then
-      Schedule.make ~machines:1 ~rejected:[] slices
+    if (not unfinished) || tries = 0 then slices
     else attempt (steps * 2) (tries - 1)
   in
   attempt steps_per_interval 4
+
+let schedule ?steps_per_interval inst =
+  Schedule.make ~machines:1 ~rejected:[] (slices ?steps_per_interval inst)
 
 let energy ?steps_per_interval (inst : Instance.t) =
   Schedule.energy inst.power (schedule ?steps_per_interval inst)

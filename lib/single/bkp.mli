@@ -29,4 +29,7 @@ val schedule : ?steps_per_interval:int -> Instance.t -> Schedule.t
 (** Discretized realization (default 64 steps per atomic interval).
     Requires [machines = 1]. *)
 
+val slices : ?steps_per_interval:int -> Instance.t -> Schedule.slice list
+(** {!schedule}'s slices as a list, before {!Schedule.make}. *)
+
 val energy : ?steps_per_interval:int -> Instance.t -> float

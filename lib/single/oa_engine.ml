@@ -40,7 +40,12 @@ type t = {
   accepted : (int, Job.t) Hashtbl.t;  (* id -> stored (possibly viewed) job *)
   seen_ids : (int, unit) Hashtbl.t;
   mutable rejected_rev : int list;
-  mutable executed : Schedule.slice list;  (* committed, newest batch first *)
+  (* Committed slices as [Schedule] records in slots [0, n_executed):
+     oldest batch first, each batch in reverse plan order, so the store
+     read backwards is the schedule's order (newest batch first, each in
+     plan order). *)
+  mutable executed : float array;
+  mutable n_executed : int;
 }
 
 let admit_all ~now:_ ~plan:_ ~candidate:_ = { admitted = true; planned_speed = None }
@@ -57,7 +62,8 @@ let start ~machines ~plan ?(admit = admit_all) ?(must_finish = false) () =
     accepted = Hashtbl.create 16;
     seen_ids = Hashtbl.create 16;
     rejected_rev = [];
-    executed = [];
+    executed = [||];
+    n_executed = 0;
   }
 
 (* The accepted jobs still to run, as remaining-work views at [now].  A
@@ -92,7 +98,17 @@ let execute t ~from ~until =
         let prev = Hashtbl.find t.remaining s.job in
         Hashtbl.replace t.remaining s.job (Float.max 0.0 (prev -. work)))
       executed;
-    t.executed <- executed @ t.executed
+    let k = List.length executed and n = t.n_executed in
+    let w = Schedule.slice_words in
+    if w * (n + k) > Array.length t.executed then begin
+      let grown = Array.create_float (w * max (n + k) (2 * n)) in
+      Array.blit t.executed 0 grown 0 (w * n);
+      t.executed <- grown
+    end;
+    List.iteri
+      (fun i s -> Schedule.write_slice t.executed (n + k - 1 - i) s)
+      executed;
+    t.n_executed <- n + k
 
 let step t (j : Job.t) =
   if Hashtbl.mem t.seen_ids j.id then
@@ -128,8 +144,14 @@ let current_plan t =
     | [] -> []
     | plan -> t.plan ~now:t.now plan
   in
-  Schedule.make ~machines:t.machines ~rejected:t.rejected_rev
-    (tail @ t.executed)
+  (* the store, then the tail reversed, all read backwards: the tail in
+     plan order, then the executed batches newest first *)
+  let k = List.length tail and n = t.n_executed in
+  let buf = Array.create_float (Schedule.slice_words * (n + k)) in
+  Array.blit t.executed 0 buf 0 (Schedule.slice_words * n);
+  List.iteri (fun i s -> Schedule.write_slice buf (n + k - 1 - i) s) tail;
+  Schedule.rev_records buf (n + k);
+  Schedule.of_records ~machines:t.machines ~rejected:t.rejected_rev buf (n + k)
 
 let run ?(admit = fun ~now:_ ~plan:_ ~candidate:_ -> true) (inst : Instance.t)
     =

@@ -278,7 +278,7 @@ let solve ?(max_iters = 4000) ?(tol = 1e-10) ?x0 t mode =
     converged = r.converged;
   }
 
-let to_schedule ?(finish_tol = Feq.tol_loose) t x =
+let to_slices ?(finish_tol = Feq.tol_loose) t x =
   let comp = completion t x in
   let rejected = ref [] in
   let scale = Array.make (Instance.n_jobs t.inst) 0.0 in
@@ -304,4 +304,8 @@ let to_schedule ?(finish_tol = Feq.tol_loose) t x =
       slices := Chen.slices problem ~t0:lo ~t1:hi @ !slices
     end
   done;
-  Schedule.make ~machines:t.inst.machines ~rejected:!rejected !slices
+  (!rejected, !slices)
+
+let to_schedule ?finish_tol t x =
+  let rejected, slices = to_slices ?finish_tol t x in
+  Schedule.make ~machines:t.inst.machines ~rejected slices

@@ -77,3 +77,7 @@ val to_schedule : ?finish_tol:float -> t -> float array -> Schedule.t
     rejected.  In must-finish solutions every job completes.  Fractions
     of nearly-complete jobs are rescaled so that finished jobs receive
     exactly their workload. *)
+
+val to_slices :
+  ?finish_tol:float -> t -> float array -> int list * Schedule.slice list
+(** {!to_schedule}'s rejected ids and slices, before {!Schedule.make}. *)

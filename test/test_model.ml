@@ -302,11 +302,44 @@ let test_schedule_drops_null_slices () =
   in
   Alcotest.(check int) "zero-speed dropped" 0 (Schedule.length s)
 
-(* [Schedule.of_records] on a buffer holding a list's slices agrees with
-   [Schedule.make] on the list: the same slices in the same order, or the
-   same [Invalid_argument] message.  The lists mix valid slices with
-   zero-speed and zero-length ones, processors out of range, non-finite
-   times and speeds, and t0 >= t1. *)
+(* Ids are stored as floats: those below 2^53 in magnitude round-trip
+   exactly, larger ones are refused rather than read back rounded. *)
+let test_schedule_exact_ids () =
+  let big = (1 lsl 53) - 1 in
+  let s =
+    Schedule.make ~machines:1 ~rejected:[] [ slice 0 0.0 1.0 big 1.0 ]
+  in
+  Alcotest.(check (list int)) "largest exact job id" [ big ]
+    (List.map (fun (x : Schedule.slice) -> x.job) (Schedule.slices s));
+  Alcotest.(check (array int)) "jobs" [| big |] (Schedule.jobs s);
+  Alcotest.check_raises "job id 2^53"
+    (Invalid_argument
+       "Schedule.make: slice job id 9007199254740992 out of range")
+    (fun () ->
+      ignore
+        (Schedule.make ~machines:1 ~rejected:[]
+           [ slice 0 0.0 1.0 (1 lsl 53) 1.0 ]));
+  Alcotest.check_raises "job id max_int"
+    (Invalid_argument
+       "Schedule.make: slice job id 4611686018427387904 out of range")
+    (fun () ->
+      ignore
+        (Schedule.make ~machines:1 ~rejected:[]
+           [ slice 0 0.0 1.0 max_int 1.0 ]));
+  Alcotest.check_raises "processor max_int"
+    (Invalid_argument
+       "Schedule.make: slice processor 4611686018427387904 out of range")
+    (fun () ->
+      ignore
+        (Schedule.make ~machines:1 ~rejected:[]
+           [ slice max_int 0.0 1.0 0 1.0 ]))
+
+(* [Schedule.make] and [Schedule.of_records] follow the list rule below:
+   check each slice in list order, raise at the first that fails with its
+   message, and drop the zero-speed and zero-length ones.  The lists mix
+   valid slices with zero-speed and zero-length ones, processors out of
+   range, non-finite times and speeds, t0 >= t1, and job ids beyond the
+   2^53 that a float holds exactly. *)
 let gen_raw_slice machines =
   let open QCheck.Gen in
   let time =
@@ -327,7 +360,12 @@ let gen_raw_slice machines =
   map
     (fun ((proc, job), (t0, t1), sp) -> slice proc t0 t1 job sp)
     (triple
-       (pair (int_range (-1) machines) (int_range (-2) 20))
+       (pair (int_range (-1) machines)
+          (frequency
+             [
+               (12, int_range (-2) 20);
+               (1, oneofl [ 1 lsl 53; -(1 lsl 53); max_int; (1 lsl 53) - 1 ]);
+             ]))
        (pair time time) speed)
 
 let gen_raw_schedule =
@@ -359,10 +397,47 @@ let schedule_outcome f =
     Ok (List.map bits (Schedule.slices s), s.rejected, Schedule.length s)
   | exception Invalid_argument m -> Error m
 
-let prop_of_records_matches_make =
-  QCheck.Test.make ~name:"of_records = make on random slice lists" ~count:500
+let reference_make ~machines ~rejected slices =
+  if machines < 1 then invalid_arg "Schedule.make: machines < 1";
+  let exact id = abs id < 1 lsl 53 in
+  List.iter
+    (fun (s : Schedule.slice) ->
+      if not (exact s.proc && s.proc >= 0 && s.proc < machines) then
+        invalid_arg
+          (Printf.sprintf "Schedule.make: slice processor %.0f out of range"
+             (float_of_int s.proc));
+      if not (Float.is_finite s.t0 && Float.is_finite s.t1 && s.t0 < s.t1)
+      then invalid_arg "Schedule.make: slice must have t0 < t1 (finite)";
+      if not (Float.is_finite s.speed) || s.speed < 0.0 then
+        invalid_arg "Schedule.make: slice speed must be finite >= 0";
+      if not (exact s.job) then
+        invalid_arg
+          (Printf.sprintf "Schedule.make: slice job id %.0f out of range"
+             (float_of_int s.job)))
+    slices;
+  let kept =
+    List.filter (fun (s : Schedule.slice) -> s.speed > 0.0 && s.t1 > s.t0)
+      slices
+  in
+  (kept, List.sort_uniq Int.compare rejected)
+
+let prop_make_matches_list_rule =
+  QCheck.Test.make ~name:"make and of_records follow the list rule"
+    ~count:500
     (QCheck.make ~print:print_raw_schedule gen_raw_schedule)
     (fun (machines, (slices, rejected)) ->
+      let bits (x : Schedule.slice) =
+        ( x.proc,
+          Int64.bits_of_float x.t0,
+          Int64.bits_of_float x.t1,
+          x.job,
+          Int64.bits_of_float x.speed )
+      in
+      let expected =
+        match reference_make ~machines ~rejected slices with
+        | kept, rej -> Ok (List.map bits kept, rej, List.length kept)
+        | exception Invalid_argument m -> Error m
+      in
       let via_make =
         schedule_outcome (fun () -> Schedule.make ~machines ~rejected slices)
       in
@@ -374,11 +449,15 @@ let prop_of_records_matches_make =
             List.iteri (Schedule.write_slice buf) slices;
             Schedule.of_records ~machines ~rejected buf (List.length slices))
       in
-      if via_make = via_records then true
-      else
-        QCheck.Test.fail_reportf "make and of_records disagree (%s vs %s)"
-          (match via_make with Ok _ -> "ok" | Error m -> m)
-          (match via_records with Ok _ -> "ok" | Error m -> m))
+      let msg = function Ok _ -> "ok" | Error m -> m in
+      if via_make <> expected then
+        QCheck.Test.fail_reportf "make disagrees with the list rule (%s vs %s)"
+          (msg via_make) (msg expected)
+      else if via_records <> expected then
+        QCheck.Test.fail_reportf
+          "of_records disagrees with the list rule (%s vs %s)"
+          (msg via_records) (msg expected)
+      else true)
 
 (* The list-based validator [Schedule.validate] replaced: a filter and a
    sort per processor and per job, and list membership for the rejected
@@ -943,7 +1022,8 @@ let () =
           Alcotest.test_case "profiles" `Quick test_schedule_profiles;
           Alcotest.test_case "speed_at" `Quick test_schedule_speed_at;
           Alcotest.test_case "null slices" `Quick test_schedule_drops_null_slices;
-          q prop_of_records_matches_make;
+          Alcotest.test_case "exact ids" `Quick test_schedule_exact_ids;
+          q prop_make_matches_list_rule;
           q prop_validate_matches_reference;
         ] );
     ]
