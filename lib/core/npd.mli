@@ -62,7 +62,11 @@ val arrive : t -> Job.t -> decision
     length inside its window. *)
 
 val schedule : t -> Schedule.t
-(** One slice per booked slot (plus the flushed accumulator under gc). *)
+(** One slice per booked slot (plus the flushed accumulator under gc).
+    The order depends on [~gc], unlike PD's: without gc, every slot
+    machine by machine, each machine's in time order; with gc, the live
+    slots that way, then the flushed ones in the reverse of the order
+    they were flushed.  Both list the same slices. *)
 
 val stats : t -> Pd_core.stats
 (** Cumulative counters: [probes] counts priced candidate slots,

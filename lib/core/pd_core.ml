@@ -415,15 +415,16 @@ end
 (* The default relaxation: atomic intervals + Chen water-filling        *)
 (* ------------------------------------------------------------------ *)
 
-(* One atomic interval [lo, hi) of the live timeline.  The payload is
-   mutable so splits and load commits touch the record in place; only the
-   tree structure (keyed by [lo]) is rebuilt, at O(log live) per insert. *)
+(* The payload of one atomic interval [bnd.(i), bnd.(i+1)) of the live
+   timeline: its committed loads and their lazily built Chen problem.
+   Mutable, so splits and load commits touch the record in place. *)
 type ivl = {
-  mutable lo : float;
-  mutable hi : float;
   mutable loads : (int * float) list;
   mutable cache : Chen.t option;
 }
+
+(* Filler for the payload slots outside the live window, never mutated. *)
+let vacant = { loads = []; cache = None }
 
 module Interval = struct
   type t = {
@@ -431,13 +432,18 @@ module Interval = struct
     err : string;
     gc : bool;
     machines : int;
-    (* Timeline: the live atomic intervals as a balanced order-statistics
-       tree keyed by interval start; [lone] carries the single-boundary
-       state (one boundary seen, no interval yet).  Invariant: [lone] is
-       [None] whenever the tree is non-empty, and the live intervals are
-       contiguous ([hi] of one is [lo] of the next). *)
-    mutable live : ivl Tline.t;
-    mutable lone : float option;
+    (* Timeline: the [len] live boundaries, strictly increasing, are
+       [bnd.(first) .. bnd.(first + len - 1)], and [ivs.(i)] is the
+       payload of interval [bnd.(i), bnd.(i+1)), so [len - 1] intervals
+       are live (none for one boundary or none).  Intervals are
+       contiguous by construction.  Jobs arrive in release order, so a
+       new boundary lands at or after the newest release and an insert
+       shifts only the boundaries still ahead of it; gc drops a prefix by
+       advancing [first]. *)
+    mutable bnd : float array;
+    mutable ivs : ivl array;
+    mutable first : int;
+    mutable len : int;
     (* GC state: slices of flushed (wholly-past) intervals.  Each flush
        pushes its slices in reverse, so reading the slab back to front
        yields newest flush first with batch-internal order restored —
@@ -462,8 +468,10 @@ module Interval = struct
       err;
       gc;
       machines = Energy_value.machines obj;
-      live = Tline.empty;
-      lone = None;
+      bnd = [||];
+      ivs = [||];
+      first = 0;
+      len = 0;
       finished = Slab.create ();
       flushed_intervals = 0;
       max_live = 0;
@@ -474,37 +482,76 @@ module Interval = struct
       bisections_last = 0;
     }
 
+  (* Live intervals: one fewer than the boundaries, none for fewer than
+     two. *)
+  let intervals t = Int.max 0 (t.len - 1)
+
+  (* The index of the last live interval whose start is <= [x], or
+     [first - 1] when there is none: a binary search of the starts. *)
+  let find_last_leq t x =
+    let lo = ref t.first and hi = ref (t.first + intervals t) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if t.bnd.(mid) <= x then lo := mid + 1 else hi := mid
+    done;
+    !lo - 1
+
+  (* Room for one more boundary past the window: copy the window to the
+     front of fresh arrays, of the same size when it fills at most half
+     of them (gc has dropped the rest), else of twice the size. *)
+  let make_room t =
+    let cap = Array.length t.bnd in
+    let cap =
+      if cap > 0 && 2 * t.len <= cap then cap else Int.max 16 (2 * cap)
+    in
+    let bnd = Array.make cap 0.0 and ivs = Array.make cap vacant in
+    Array.blit t.bnd t.first bnd 0 t.len;
+    Array.blit t.ivs t.first ivs 0 t.len;
+    t.bnd <- bnd;
+    t.ivs <- ivs;
+    t.first <- 0
+
+  (* Insert boundary [b] at window position [i] (0 .. len), shifting the
+     suffix.  A new interval comes with it unless [b] is the only
+     boundary; [iv] becomes its payload: the interval starting at [b], or
+     the new last one when [b] is appended. *)
+  let insert t i b iv =
+    if t.first + t.len = Array.length t.bnd then make_room t;
+    let p = t.first + i and e = t.first + t.len in
+    Array.blit t.bnd p t.bnd (p + 1) (e - p);
+    t.bnd.(p) <- b;
+    if t.len > 0 then begin
+      let q = Int.min p (e - 1) in
+      Array.blit t.ivs q t.ivs (q + 1) (e - 1 - q);
+      t.ivs.(q) <- iv
+    end;
+    t.len <- t.len + 1
+
   (* Insert [b] as a boundary unless an existing boundary lies within the
      dedup tolerance (then [b] snaps to it).  Inside an interval: split it,
      dividing the committed loads proportionally to the sub-lengths (this
      keeps every job's speed unchanged, which is why the reformulated
      online algorithm computes the same schedule as one knowing the
-     partition a priori).  Outside the current horizon: append an empty
-     edge interval.  O(log live) via the tree.  The tolerance guarantees
-     both sub-lengths of a split exceed boundary_tol * scale, so the
-     proportional split never divides by a near-zero length. *)
+     partition a priori).  Outside the current horizon: add an empty edge
+     interval.  The tolerance guarantees both sub-lengths of a split
+     exceed boundary_tol * scale, so the proportional split never divides
+     by a near-zero length. *)
   let insert_boundary t b =
-    match Tline.find_last_leq b t.live with
-    | None -> (
-      match (Tline.min_binding_opt t.live, t.lone) with
-      | Some (glo, _), _ ->
-        (* before the current horizon *)
-        if not (same_boundary glo b) then
-          t.live <-
-            Tline.add b { lo = b; hi = glo; loads = []; cache = None } t.live
-      | None, Some x ->
-        if not (same_boundary x b) then begin
-          let lo = Float.min x b and hi = Float.max x b in
-          t.live <- Tline.add lo { lo; hi; loads = []; cache = None } t.live;
-          t.lone <- None
-        end
-      | None, None -> t.lone <- Some b)
-    | Some (lo_k, iv) ->
-      if not (same_boundary lo_k b) then
-        if b < iv.hi then begin
-          if not (same_boundary iv.hi b) then begin
+    let j = find_last_leq t b in
+    if j < t.first then begin
+      if t.len = 0 then insert t 0 b vacant
+      else
+        let g = t.bnd.(t.first) in
+        if not (same_boundary g b) then
+          insert t (if b < g then 0 else 1) b { loads = []; cache = None }
+    end
+    else begin
+      let lo = t.bnd.(j) and hi = t.bnd.(j + 1) in
+      if not (same_boundary lo b) then
+        if b < hi then begin
+          if not (same_boundary hi b) then begin
             (* split [lo, hi) at b *)
-            let lo = iv.lo and hi = iv.hi in
+            let iv = t.ivs.(j) in
             let frac_left = (b -. lo) /. (hi -. lo) in
             let half len factor =
               match iv.cache with
@@ -513,8 +560,6 @@ module Interval = struct
             in
             let right =
               {
-                lo = b;
-                hi;
                 loads =
                   List.map
                     (fun (id, w) -> (id, w *. (1.0 -. frac_left)))
@@ -522,81 +567,65 @@ module Interval = struct
                 cache = half (hi -. b) (1.0 -. frac_left);
               }
             in
-            iv.hi <- b;
             iv.loads <- List.map (fun (id, w) -> (id, w *. frac_left)) iv.loads;
             iv.cache <- half (b -. lo) frac_left;
-            t.live <- Tline.add b right t.live
+            insert t (j + 1 - t.first) b right
           end
         end
-        else if not (same_boundary iv.hi b) then
-          (* [iv] is the last interval (contiguity): append an empty edge
-             interval [old horizon, b) *)
-          t.live <-
-            Tline.add iv.hi
-              { lo = iv.hi; hi = b; loads = []; cache = None }
-              t.live
+        else if not (same_boundary hi b) then
+          (* [hi] is the horizon: append an empty edge interval [hi, b) *)
+          insert t t.len b { loads = []; cache = None }
+    end
 
-  (* The boundary value representing [x]: exact, or the neighbour [x]
-     snapped to during [insert_boundary]. *)
-  let boundary_key t x =
-    let of_lone () =
-      match t.lone with
-      | Some l when same_boundary l x -> Some l
-      | _ -> None
-    in
-    let cand =
-      match Tline.find_last_leq x t.live with
-      | Some (lo_k, iv) ->
-        if same_boundary lo_k x then Some lo_k
-        else if same_boundary iv.hi x then Some iv.hi
-        else None
-      | None -> (
-        match Tline.min_binding_opt t.live with
-        | Some (glo, _) when same_boundary glo x -> Some glo
-        | _ -> of_lone ())
-    in
-    match cand with
-    | Some b -> b
-    | None ->
-      invalid_arg (Fmt.str "%s.boundary_key: %g is not a boundary" t.err x)
+  (* The index of the boundary representing [x]: exact, or the neighbour
+     [x] snapped to during [insert_boundary]. *)
+  let boundary_index t x =
+    let j = find_last_leq t x in
+    if j >= t.first && same_boundary t.bnd.(j) x then j
+    else if j + 1 < t.first + t.len && same_boundary t.bnd.(j + 1) x then
+      j + 1
+    else invalid_arg (Fmt.str "%s.boundary_index: %g is not a boundary" t.err x)
 
-  (* The committed-load Chen problem of an interval, built lazily and
+  (* The committed-load Chen problem of interval [i], built lazily and
      invalidated whenever the interval is split or receives new load. *)
-  let chen t iv =
+  let chen t i =
+    let iv = t.ivs.(i) in
     match iv.cache with
     | Some c -> c
     | None ->
       let c =
-        Chen.build ~machines:t.machines ~length:(iv.hi -. iv.lo) iv.loads
+        Chen.build ~machines:t.machines
+          ~length:(t.bnd.(i + 1) -. t.bnd.(i))
+          iv.loads
       in
       iv.cache <- Some c;
       c
 
-  let flush_slices t iv =
-    match iv.loads with
+  let flush_slices t i =
+    match t.ivs.(i).loads with
     | [] -> ()
-    | _ -> Slab.push_slices t.finished (chen t iv) ~t0:iv.lo ~t1:iv.hi
+    | _ ->
+      Slab.push_slices t.finished (chen t i) ~t0:t.bnd.(i) ~t1:t.bnd.(i + 1)
 
+  (* Drop the intervals that end safely past the newest release, oldest
+     first, into the slab; once the timeline has drained, its last
+     boundary goes too when it is safely past. *)
   let gc_flush t ~last_release =
-    let continue = ref true in
-    while !continue do
-      match Tline.min_binding_opt t.live with
-      | Some (k, iv) when safely_past ~last_release iv.hi ->
-        flush_slices t iv;
-        t.live <- Tline.remove k t.live;
-        t.flushed_intervals <- t.flushed_intervals + 1
-      | _ -> continue := false
+    while t.len >= 2 && safely_past ~last_release t.bnd.(t.first + 1) do
+      flush_slices t t.first;
+      (* let the flushed payload go now, not at the next [make_room] *)
+      t.ivs.(t.first) <- vacant;
+      t.first <- t.first + 1;
+      t.len <- t.len - 1;
+      t.flushed_intervals <- t.flushed_intervals + 1
     done;
-    match t.lone with
-    | Some x when safely_past ~last_release x -> t.lone <- None
-    | _ -> ()
+    if t.len = 1 && safely_past ~last_release t.bnd.(t.first) then t.len <- 0
 
   let prepare t (job : Job.t) ~last_release =
     if t.gc then gc_flush t ~last_release;
     insert_boundary t job.release;
     insert_boundary t job.deadline;
-    let live = Tline.cardinal t.live in
-    if live > t.max_live then t.max_live <- live
+    t.max_live <- Int.max t.max_live (intervals t)
 
   (* Work (in load units) the job would commit across [probs] at speed
      [s].  Summation order is interval order; the loop is [Ksum.add]'s
@@ -758,15 +787,14 @@ module Interval = struct
   (* Pricing                                                            *)
   (* ---------------------------------------------------------------- *)
 
+  (* The job's window as (position in the live timeline, payload, Chen
+     problem), oldest interval first. *)
   let window t (job : Job.t) =
-    let k_lo = boundary_key t job.release
-    and k_hi = boundary_key t job.deadline in
-    if k_lo >= k_hi then [||]
-    else begin
-      let base = Tline.rank k_lo t.live in
-      let win = Array.of_list (Tline.bindings_range ~lo:k_lo ~hi:k_hi t.live) in
-      Array.mapi (fun i (_, iv) -> (base + i, iv, chen t iv)) win
-    end
+    let lo = boundary_index t job.release
+    and hi = boundary_index t job.deadline in
+    Array.init
+      (Int.max 0 (hi - lo))
+      (fun k -> (lo - t.first + k, t.ivs.(lo + k), chen t (lo + k)))
 
   (* A job whose window collapsed onto existing boundaries (span below the
      dedup tolerance) can place no work at all. *)
@@ -870,17 +898,10 @@ module Interval = struct
   (* Results and state surfaces                                         *)
   (* ---------------------------------------------------------------- *)
 
-  let boundaries t =
-    match Tline.max_binding_opt t.live with
-    | None -> (
-      match t.lone with None -> [||] | Some x -> [| x |])
-    | Some (_, last) ->
-      let keys = Tline.fold (fun k _ acc -> k :: acc) t.live [] in
-      Array.of_list (List.rev (last.hi :: keys))
+  let boundaries t = Array.sub t.bnd t.first t.len
 
   let interval_loads t =
-    let loads = Tline.fold (fun _ iv acc -> iv.loads :: acc) t.live [] in
-    Array.of_list (List.rev loads)
+    Array.init (intervals t) (fun i -> t.ivs.(t.first + i).loads)
 
   (* The reverse of: the flushed slices in push order, then each live
      interval's in Chen's write order, oldest interval first.  Each flush
@@ -889,21 +910,24 @@ module Interval = struct
      never-flushed state gives. *)
   let schedule t ~rejected =
     let live f acc =
-      Tline.fold
-        (fun _ iv acc -> match iv.loads with [] -> acc | _ -> f iv acc)
-        t.live acc
+      let acc = ref acc in
+      for i = t.first to t.first + intervals t - 1 do
+        match t.ivs.(i).loads with [] -> () | _ -> acc := f i !acc
+      done;
+      !acc
     in
-    let room = live (fun iv n -> n + Chen.slice_capacity (chen t iv)) 0 in
+    let room = live (fun i n -> n + Chen.slice_capacity (chen t i)) 0 in
     Slab.schedule t.finished ~machines:t.machines ~rejected ~room
       (fun buf pos ->
         live
-          (fun iv pos ->
-            Chen.write_slices (chen t iv) ~t0:iv.lo ~t1:iv.hi buf pos)
+          (fun i pos ->
+            Chen.write_slices (chen t i) ~t0:t.bnd.(i) ~t1:t.bnd.(i + 1) buf
+              pos)
           pos)
 
   let mem t =
     {
-      r_live = Tline.cardinal t.live;
+      r_live = intervals t;
       r_max_live = t.max_live;
       r_flushed = t.flushed_intervals;
       r_finished_slices = Slab.length t.finished;
