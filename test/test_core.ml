@@ -488,6 +488,81 @@ let test_gc_flat_residency_on_expired_stream () =
   Alcotest.(check int) "schedule covers the whole history" n
     (Schedule.length (Pd.schedule pd))
 
+(* ------------------------------------------------------------------ *)
+(* The flat timeline under PD: model-based, gc on and off               *)
+(* ------------------------------------------------------------------ *)
+
+(* Endpoints on a quarter grid never snap and are never within the
+   safely-past margin of a release, so the live boundaries have an exact
+   model: without gc, every endpoint seen so far, sorted and distinct;
+   with gc, the same set after each arrival first drops its head while
+   the second boundary lies before the new release (and a lone boundary
+   before it), then adds the job's endpoints.  Keys come from a small
+   pool so inserts collide and land mid-suffix; up to 150 arrivals grow
+   the arrays past their first capacities, and short windows make the gc
+   state compact its dropped prefix. *)
+let prop_flat_timeline_matches_model =
+  let grid k = float_of_int k /. 4.0 in
+  QCheck.Test.make ~name:"flat timeline = sorted endpoint model (gc on/off)"
+    ~count:200
+    QCheck.(
+      make
+        ~print:(fun (machines, steps) ->
+          Printf.sprintf "m=%d %s" machines
+            (String.concat " "
+               (List.map (fun (dr, span, _) -> Printf.sprintf "+%d/%d" dr span)
+                  steps)))
+        Gen.(
+          pair (1 -- 3)
+            (list_size (1 -- 150)
+               (triple (0 -- 2)
+                  (oneof [ 1 -- 4; 1 -- 40 ])
+                  (float_range 0.05 20.0)))))
+    (fun (machines, steps) ->
+      let gc = Pd.create ~gc:true ~power:p2 ~machines () in
+      let plain = Pd.create ~power:p2 ~machines () in
+      let insert x l = List.sort_uniq Float.compare (x :: l) in
+      let rec drain r = function
+        | _ :: (b :: _ as rest) when b < r -> drain r rest
+        | [ b ] when b < r -> []
+        | l -> l
+      in
+      let check what model live =
+        if not (List.equal Float.equal model (Array.to_list live)) then
+          QCheck.Test.fail_reportf "%s: live [%s] vs model [%s]" what
+            (String.concat "; " (List.map string_of_float (Array.to_list live)))
+            (String.concat "; " (List.map string_of_float model))
+      in
+      let intervals bs = Int.max 0 (List.length bs - 1) in
+      let _ =
+        List.fold_left
+          (fun (i, r, all, live) (dr, span, v) ->
+            let r = r + dr in
+            let j =
+              mk_job ~id:i ~r:(grid r) ~d:(grid (r + span))
+                ~w:(0.1 +. (v /. 10.0)) ~v ()
+            in
+            let dg = Pd.arrive gc j and dp = Pd.arrive plain j in
+            let all = insert j.release (insert j.deadline all) in
+            let live =
+              insert j.release (insert j.deadline (drain j.release live))
+            in
+            check (Printf.sprintf "job %d, gc off" i) all (Pd.boundaries plain);
+            check (Printf.sprintf "job %d, gc on" i) live (Pd.boundaries gc);
+            if Array.length (Pd.interval_loads plain) <> intervals all then
+              QCheck.Test.fail_reportf "job %d: %d interval payloads, %d live"
+                i (Array.length (Pd.interval_loads plain)) (intervals all);
+            if (Pd.mem gc).live_intervals <> intervals live then
+              QCheck.Test.fail_reportf "job %d: gc reports %d live intervals"
+                i (Pd.mem gc).live_intervals;
+            Option.iter
+              (QCheck.Test.fail_reportf "%s")
+              (gc_tail_error ~gc ~plain dg dp);
+            (i + 1, r, all, live))
+          (0, 0, [], []) steps
+      in
+      true)
+
 let test_near_duplicate_boundary () =
   let pd = Pd.create ~power:p2 ~machines:1 () in
   let d0 = Pd.arrive pd (mk_job ~id:0 ~r:1.0 ~d:3.0 ~w:1.0 ~v:100.0 ()) in
@@ -1160,6 +1235,7 @@ let () =
           Alcotest.test_case "flat residency on expired stream" `Quick
             test_gc_flat_residency_on_expired_stream;
           Alcotest.test_case "npd bounded memory" `Quick test_npd_gc_bounded;
+          q prop_flat_timeline_matches_model;
         ] );
       ( "framework",
         [
