@@ -979,23 +979,29 @@ let e20 () =
         Speedscale_workload.Generate.diurnal ~power:(Power.make 3.0)
           ~machines:8 ~seed:13 ~n ()
       in
-      (* drive the instrumented arrival loop directly: the per-arrival
-         observer gives deterministic work counters (probes, intervals,
-         breakpoints), the wall clock stays in the record's timing slot *)
+      (* drive the arrival loop directly: the cumulative stats read
+         around each arrival give its deterministic work counters
+         (probes, intervals, breakpoints), the wall clock stays in the
+         record's timing slot *)
       let pd =
         Speedscale_core.Pd.create ~power:inst.power
           ~machines:inst.machines ()
       in
       let rejected = ref 0 in
       let max_probes = ref 0 and max_bps = ref 0 in
-      Speedscale_core.Pd.set_observer pd
-        (Some
-           (fun (s : Speedscale_core.Pd.arrival_stats) ->
-             if not s.accepted then incr rejected;
-             if s.probes > !max_probes then max_probes := s.probes;
-             if s.breakpoints > !max_bps then max_bps := s.breakpoints));
       let t0 = Unix.gettimeofday () in
-      let decisions = Array.map (Speedscale_core.Pd.arrive pd) inst.jobs in
+      let decisions =
+        Array.map
+          (fun j ->
+            let s0 = Speedscale_core.Pd.stats pd in
+            let d = Speedscale_core.Pd.arrive pd j in
+            let s1 = Speedscale_core.Pd.stats pd in
+            if not d.accepted then incr rejected;
+            max_probes := Int.max !max_probes (s1.probes - s0.probes);
+            max_bps := Int.max !max_bps (s1.breakpoints - s0.breakpoints);
+            d)
+          inst.jobs
+      in
       let dt = Unix.gettimeofday () -. t0 in
       let cost =
         Cost.total (Schedule.cost inst (Speedscale_core.Pd.schedule pd))
@@ -1083,16 +1089,13 @@ let e24 () =
           ~machines:inst.machines ()
       in
       let rejected = ref 0 in
-      Speedscale_core.Pd.set_observer pd
-        (Some
-           (fun (s : Speedscale_core.Pd.arrival_stats) ->
-             if not s.accepted then incr rejected));
       let decisions_rev = ref [] in
       let keep_decisions = n <= 10_000 in
       let t0 = Unix.gettimeofday () in
       Array.iter
         (fun j ->
           let d = Speedscale_core.Pd.arrive pd j in
+          if not d.accepted then incr rejected;
           if keep_decisions then decisions_rev := d :: !decisions_rev)
         inst.jobs;
       let dt = Unix.gettimeofday () -. t0 in

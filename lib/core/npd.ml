@@ -25,8 +25,9 @@ module Windows = struct
     mutable flushed_slots : int;
     mutable live_slots : int;
     mutable max_live : int;
-    mutable probes_now : int;
-    mutable intervals_last : int;
+    (* cumulative work counters ([stats]) *)
+    mutable probes : int;
+    mutable gaps : int;
   }
 
   let create obj ~err ~gc =
@@ -40,8 +41,8 @@ module Windows = struct
       flushed_slots = 0;
       live_slots = 0;
       max_live = 0;
-      probes_now = 0;
-      intervals_last = 0;
+      probes = 0;
+      gaps = 0;
     }
 
   (* Under gc, park wholly-past slots in the slab.  Slots are sorted and
@@ -74,11 +75,11 @@ module Windows = struct
     let w = job.workload in
     let best = ref None in
     let consider i g0 g1 =
-      t.intervals_last <- t.intervals_last + 1;
+      t.gaps <- t.gaps + 1;
       let len = g1 -. g0 in
       let scale = 1.0 +. Float.max (Float.abs g0) (Float.abs g1) in
       if len > Pd_core.boundary_tol *. scale then begin
-        t.probes_now <- t.probes_now + 1;
+        t.probes <- t.probes + 1;
         let price = O.price_of_speed t.obj ~workload:w (w /. len) in
         match !best with
         | Some (p, _, _, _) when p <= price -> ()
@@ -113,8 +114,6 @@ module Windows = struct
   (* Both solver flavours coincide: the candidate set is finite and the
      closed-form price needs no iteration, so [reference] is ignored. *)
   let price t (job : Job.t) ~reference:_ =
-    t.probes_now <- 0;
-    t.intervals_last <- 0;
     let cap = job.value in
     match best_candidate t job with
     | None ->
@@ -132,14 +131,6 @@ module Windows = struct
           { s0 = g0; s1 = g1; job = job.id; speed = job.workload /. (g1 -. g0) };
         Pd_core.Accept (price, [ (i, job.workload) ])
       end
-
-  let take_arrival t =
-    {
-      Pd_core.r_probes = t.probes_now;
-      r_intervals = t.intervals_last;
-      r_breakpoints = 0;
-      r_bisections = 0;
-    }
 
   (* The booked slots machine by machine, then the flushed ones newest
      first: the reverse of the slab's push order followed by each
@@ -160,12 +151,24 @@ module Windows = struct
         done;
         !pos)
 
+  let stats t =
+    {
+      Pd_core.arrivals = 0;
+      probes = t.probes;
+      intervals = t.gaps;
+      breakpoints = 0;
+      bisections = 0;
+    }
+
   let mem t =
     {
-      Pd_core.r_live = t.live_slots;
-      r_max_live = t.max_live;
-      r_flushed = t.flushed_slots;
-      r_finished_slices = Pd_core.Slab.length t.finished;
+      Pd_core.live_intervals = t.live_slots;
+      max_live_intervals = t.max_live;
+      table_entries = 0;
+      max_table_entries = 0;
+      flushed_intervals = t.flushed_slots;
+      evicted_jobs = 0;
+      finished_slices = Pd_core.Slab.length t.finished;
     }
 end
 

@@ -70,7 +70,9 @@ val schedule : t -> Schedule.t
 
 val stats : t -> Pd_core.stats
 (** Cumulative counters: [probes] counts priced candidate slots,
-    [intervals] counts scanned gaps, [breakpoints] stays [0]. *)
+    [intervals] counts scanned gaps, [breakpoints] and [bisections] stay
+    [0].  As in PD, an arrival that raises [Failure] counts, with the
+    gaps it scanned. *)
 
 val mem : t -> Pd_core.mem_stats
 (** Residency gauges; [live_intervals] counts live booked slots and

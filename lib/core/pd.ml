@@ -15,15 +15,6 @@ module Core = Pd_core.Make (R)
 
 type t = Core.t
 
-type arrival_stats = Pd_core.arrival_stats = {
-  job_id : int;
-  accepted : bool;
-  probes : int;
-  intervals : int;
-  breakpoints : int;
-  bisections : int;
-}
-
 type stats = Pd_core.stats = {
   arrivals : int;
   probes : int;
@@ -54,7 +45,6 @@ let create ?delta ?(gc = false) ~power ~machines () =
   Core.create ~gc ~err:"Pd"
     (O.make ?delta ~err:"Pd.create" ~power ~machines ())
 
-let set_observer = Core.set_observer
 let stats = Core.stats
 let mem = Core.mem
 let arrive = Core.arrive

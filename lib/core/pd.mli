@@ -77,44 +77,35 @@ val create :
     deterministic function of its arrival prefix, so replaying the
     arrivals restores it exactly, with or without gc. *)
 
-type arrival_stats = {
-  job_id : int;
-  accepted : bool;
-  probes : int;
-      (** [Chen.probe_load_for_speed] evaluations spent on this arrival *)
-  intervals : int;  (** atomic intervals in the job's window *)
-  breakpoints : int;
-      (** raw breakpoint candidates written for the crossing search, plus
-          one for its top (the value speed or a sentinel); repeats are
-          counted, since nothing is deduplicated ([0] on the reference
-          path) *)
-  bisections : int;
-      (** fallback bisections: [1] when the interpolated speed missed the
-          target and [Bisect.monotone_inverse] ran inside the bracketing
-          segment, whose probes are part of [probes] ([0] on the
-          reference path) *)
-}
-(** Per-arrival instrumentation, delivered to the {!set_observer} hook
-    after each decision.  Every field is a deterministic function of the
-    instance, so all are safe in observability record payloads; time an
-    arrival around the call instead. *)
-
-val set_observer : t -> (arrival_stats -> unit) option -> unit
-(** Install (or clear) the per-arrival hook.  Called synchronously at the
-    end of every {!arrive} / {!arrive_reference}. *)
-
-type stats = {
+type stats = Pd_core.stats = {
   arrivals : int;
-  probes : int;  (** cumulative probe evaluations *)
-  intervals : int;  (** cumulative window sizes *)
-  breakpoints : int;  (** cumulative [arrival_stats.breakpoints] *)
-  bisections : int;  (** cumulative fallback bisections *)
+      (** arrivals admitted past the duplicate-id and release-order
+          checks *)
+  probes : int;  (** [Chen.probe_load_for_speed] evaluations *)
+  intervals : int;  (** atomic intervals in the arrivals' windows *)
+  breakpoints : int;
+      (** raw breakpoint candidates written for the crossing searches,
+          plus one per search for its top (the value speed or a
+          sentinel); repeats are counted, since nothing is deduplicated.
+          The reference path adds none. *)
+  bisections : int;
+      (** fallback bisections: one each time the interpolated speed
+          missed the target and [Bisect.monotone_inverse] ran inside the
+          bracketing segment, whose probes are part of [probes].  The
+          reference path adds none. *)
 }
+(** Cumulative work counters.  Every field is a deterministic function of
+    the arrivals, so all are safe in observability record payloads, and
+    none depends on [~gc].  An arrival's own work is the difference of
+    two {!stats} reads around its {!arrive}; time it around the call. *)
 
 val stats : t -> stats
-(** Cumulative counters since {!create} (both arrival paths count). *)
+(** Cumulative counters since {!create}; both arrival paths count.  An
+    arrival whose {!arrive} raises [Failure] (a must-finish job PD cannot
+    place) still counts: [arrivals] includes it and the other counters
+    keep the work its pricing did before the raise. *)
 
-type mem_stats = {
+type mem_stats = Pd_core.mem_stats = {
   live_intervals : int;  (** atomic intervals currently resident *)
   max_live_intervals : int;  (** high-water mark of [live_intervals] *)
   table_entries : int;  (** dup-id hash-table entries resident *)

@@ -23,19 +23,6 @@ let safely_past ~last_release hi =
   let scale = 1.0 +. Float.max (Float.abs hi) (Float.abs last_release) in
   last_release -. hi > (4.0 *. boundary_tol *. scale) +. Feq.tol_guard
 
-type arrival_stats = {
-  job_id : int;
-  accepted : bool;
-  probes : int;  (** [Chen.probe_load_for_speed] evaluations this arrival *)
-  intervals : int;  (** candidate intervals/slots in the job's window *)
-  breakpoints : int;
-      (** raw breakpoint candidates plus one for the search's top (0 on
-          the reference path) *)
-  bisections : int;
-      (** fallback bisections inside the bracketing segment (0 on the
-          reference path) *)
-}
-
 type stats = {
   arrivals : int;
   probes : int;
@@ -204,20 +191,6 @@ module Energy_value = struct
     t.delta *. workload *. Power.deriv t.power s
 end
 
-type relax_arrival = {
-  r_probes : int;
-  r_intervals : int;
-  r_breakpoints : int;
-  r_bisections : int;
-}
-
-type relax_mem = {
-  r_live : int;
-  r_max_live : int;
-  r_flushed : int;
-  r_finished_slices : int;
-}
-
 type verdict =
   | Reject of float  (** the job cannot finish below this price *)
   | Accept of float * (int * float) list
@@ -238,11 +211,15 @@ module type RELAXATION = sig
       oracle solver where it has one.  May raise [Failure] when a
       must-finish job cannot be placed. *)
 
-  val take_arrival : t -> relax_arrival
-  (** Instrumentation of the last [price] call. *)
-
   val schedule : t -> rejected:int list -> Schedule.t
-  val mem : t -> relax_mem
+
+  val stats : t -> stats
+  (** Cumulative work of every [price] call so far, one that raised
+      included; [arrivals] is the loop's to fill. *)
+
+  val mem : t -> mem_stats
+  (** Residency gauges; the dup-id table's three are the loop's to
+      fill. *)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -289,13 +266,7 @@ module Make (R : RELAXATION) = struct
     mutable rejected_rev : int list;
     mutable last_release : float;
     mutable evicted_jobs : int;
-    (* instrumentation *)
-    mutable observer : (arrival_stats -> unit) option;
     mutable arrivals : int;
-    mutable probes_total : int;
-    mutable intervals_total : int;
-    mutable breakpoints_total : int;
-    mutable bisections_total : int;
     mutable max_table : int;
   }
 
@@ -310,38 +281,20 @@ module Make (R : RELAXATION) = struct
       rejected_rev = [];
       last_release = Float.neg_infinity;
       evicted_jobs = 0;
-      observer = None;
       arrivals = 0;
-      probes_total = 0;
-      intervals_total = 0;
-      breakpoints_total = 0;
-      bisections_total = 0;
       max_table = 0;
     }
 
   let obj t = t.obj
   let relax t = t.relax
-  let set_observer t obs = t.observer <- obs
-
-  let stats t =
-    {
-      arrivals = t.arrivals;
-      probes = t.probes_total;
-      intervals = t.intervals_total;
-      breakpoints = t.breakpoints_total;
-      bisections = t.bisections_total;
-    }
+  let stats t = { (R.stats t.relax) with arrivals = t.arrivals }
 
   let mem t =
-    let rm = R.mem t.relax in
     {
-      live_intervals = rm.r_live;
-      max_live_intervals = rm.r_max_live;
+      (R.mem t.relax) with
       table_entries = Hashtbl.length t.seen_ids;
       max_table_entries = t.max_table;
-      flushed_intervals = rm.r_flushed;
       evicted_jobs = t.evicted_jobs;
-      finished_slices = rm.r_finished_slices;
     }
 
   let evict_tables t =
@@ -357,31 +310,13 @@ module Make (R : RELAXATION) = struct
       done
     end
 
-  let emit_stats t (d : decision) ~(ra : relax_arrival) =
-    t.arrivals <- t.arrivals + 1;
-    t.probes_total <- t.probes_total + ra.r_probes;
-    t.intervals_total <- t.intervals_total + ra.r_intervals;
-    t.breakpoints_total <- t.breakpoints_total + ra.r_breakpoints;
-    t.bisections_total <- t.bisections_total + ra.r_bisections;
-    match t.observer with
-    | None -> ()
-    | Some obs ->
-      obs
-        {
-          job_id = d.job.id;
-          accepted = d.accepted;
-          probes = ra.r_probes;
-          intervals = ra.r_intervals;
-          breakpoints = ra.r_breakpoints;
-          bisections = ra.r_bisections;
-        }
-
   let arrive_with ~reference t (job : Job.t) =
     if Hashtbl.mem t.seen_ids job.id then
       invalid_arg (t.err ^ ".arrive: duplicate job id");
     if job.release < t.last_release -. Feq.tol_guard then
       invalid_arg (t.err ^ ".arrive: jobs must arrive in release order");
     t.last_release <- Float.max t.last_release job.release;
+    t.arrivals <- t.arrivals + 1;
     Hashtbl.add t.seen_ids job.id ();
     if t.gc then Expiry.push t.expiry job.deadline job.id;
     evict_tables t;
@@ -389,22 +324,14 @@ module Make (R : RELAXATION) = struct
     R.prepare t.relax job ~last_release:t.last_release;
     let verdict = R.price t.relax job ~reference in
     let w = job.workload in
-    let d =
-      match verdict with
-      | Reject lambda ->
-        let planned_speed =
-          Energy_value.speed_of_price t.obj ~workload:w lambda
-        in
-        t.rejected_rev <- job.id :: t.rejected_rev;
-        { job; accepted = false; lambda; planned_speed; assignment = [] }
-      | Accept (lambda, assignment) ->
-        let planned_speed =
-          Energy_value.speed_of_price t.obj ~workload:w lambda
-        in
-        { job; accepted = true; lambda; planned_speed; assignment }
-    in
-    emit_stats t d ~ra:(R.take_arrival t.relax);
-    d
+    match verdict with
+    | Reject lambda ->
+      let planned_speed = Energy_value.speed_of_price t.obj ~workload:w lambda in
+      t.rejected_rev <- job.id :: t.rejected_rev;
+      { job; accepted = false; lambda; planned_speed; assignment = [] }
+    | Accept (lambda, assignment) ->
+      let planned_speed = Energy_value.speed_of_price t.obj ~workload:w lambda in
+      { job; accepted = true; lambda; planned_speed; assignment }
 
   let arrive t job = arrive_with ~reference:false t job
   let arrive_reference t job = arrive_with ~reference:true t job
@@ -455,11 +382,11 @@ module Interval = struct
     (* Breakpoint scratch for [solve_speed], grown on first use so that
        [create] allocates nothing for it. *)
     mutable scratch : float array;
-    (* instrumentation of the last price call *)
-    mutable probes_now : int;
-    mutable intervals_last : int;
-    mutable breakpoints_last : int;
-    mutable bisections_last : int;
+    (* cumulative work counters ([stats]) *)
+    mutable probes : int;
+    mutable window_intervals : int;
+    mutable breakpoints : int;
+    mutable bisections : int;
   }
 
   let create obj ~err ~gc =
@@ -476,10 +403,10 @@ module Interval = struct
       flushed_intervals = 0;
       max_live = 0;
       scratch = [||];
-      probes_now = 0;
-      intervals_last = 0;
-      breakpoints_last = 0;
-      bisections_last = 0;
+      probes = 0;
+      window_intervals = 0;
+      breakpoints = 0;
+      bisections = 0;
     }
 
   (* Live intervals: one fewer than the boundaries, none for fewer than
@@ -635,7 +562,7 @@ module Interval = struct
      the two must change together (lib/util/ksum.ml says so too). *)
   let assigned_at_speed t ~w probs s =
     let n = Array.length probs in
-    t.probes_now <- t.probes_now + n;
+    t.probes <- t.probes + n;
     let sum = ref 0.0 and comp = ref 0.0 in
     for i = 0 to n - 1 do
       let _, _, p = probs.(i) in
@@ -659,7 +586,7 @@ module Interval = struct
     let w = job.workload in
     let s = Energy_value.speed_of_price t.obj ~workload:w lambda in
     let n = Array.length probs in
-    t.probes_now <- t.probes_now + n;
+    t.probes <- t.probes + n;
     let zs = Array.make n 0.0 in
     let acc = Ksum.create () in
     for i = 0 to n - 1 do
@@ -747,7 +674,7 @@ module Interval = struct
         done;
         !hi *. (1.0 +. Feq.tol_loose)
     in
-    t.breakpoints_last <- raw + 1;
+    t.breakpoints <- t.breakpoints + raw + 1;
     let f s = assigned_at_speed t ~w probs s in
     (* Cancellation in the probe's closed form can make f at the exact
        saturation breakpoint evaluate a few ulp short of w; a strict >= w
@@ -777,7 +704,7 @@ module Interval = struct
         in
         if Float.abs (f s -. w) <= Feq.tol_snap *. (1.0 +. w) then Some s
         else begin
-          t.bisections_last <- t.bisections_last + 1;
+          t.bisections <- t.bisections + 1;
           Some (Bisect.monotone_inverse ~f ~target:w ~lo:sa ~hi:sb ())
         end
       end
@@ -877,22 +804,11 @@ module Interval = struct
     end
 
   let price t (job : Job.t) ~reference =
-    t.probes_now <- 0;
-    t.breakpoints_last <- 0;
-    t.bisections_last <- 0;
     let probs = window t job in
-    t.intervals_last <- Array.length probs;
+    t.window_intervals <- t.window_intervals + Array.length probs;
     if Array.length probs = 0 then degenerate_window t job
     else if reference then price_reference t job probs
     else price_fast t job probs
-
-  let take_arrival t =
-    {
-      r_probes = t.probes_now;
-      r_intervals = t.intervals_last;
-      r_breakpoints = t.breakpoints_last;
-      r_bisections = t.bisections_last;
-    }
 
   (* ---------------------------------------------------------------- *)
   (* Results and state surfaces                                         *)
@@ -925,11 +841,23 @@ module Interval = struct
               pos)
           pos)
 
+  let stats t =
+    {
+      arrivals = 0;
+      probes = t.probes;
+      intervals = t.window_intervals;
+      breakpoints = t.breakpoints;
+      bisections = t.bisections;
+    }
+
   let mem t =
     {
-      r_live = intervals t;
-      r_max_live = t.max_live;
-      r_flushed = t.flushed_intervals;
-      r_finished_slices = Slab.length t.finished;
+      live_intervals = intervals t;
+      max_live_intervals = t.max_live;
+      table_entries = 0;
+      max_table_entries = 0;
+      flushed_intervals = t.flushed_intervals;
+      evicted_jobs = 0;
+      finished_slices = Slab.length t.finished;
     }
 end

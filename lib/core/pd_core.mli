@@ -16,8 +16,12 @@
 
     {!Make} turns a relaxation into the generic online loop: admission
     checks (duplicate ids, release order), bounded-memory eviction of
-    the dup-id table, observer instrumentation, and the rejected list the
-    final schedule needs.  It keeps no other history: the dual
+    the dup-id table, and the rejected list the final schedule needs.
+    Work counters live where the work is done: the relaxation keeps its
+    probes, intervals, breakpoints and bisections as cumulative totals,
+    and {!Make} adds only the arrival count and the dup-id table's
+    gauges.  An arrival's own work is the difference of two
+    {!Make.stats} reads around it.  It keeps no other history: the dual
     certificate is {!certificate}, a function of the decisions the loop
     returns (each carries its job and its multiplier), evaluated the way
     E11's duality chain does.  {!Pd} instantiates [Make (Interval)] and
@@ -45,20 +49,6 @@ val safely_past : last_release:float -> float -> bool
 (* ------------------------------------------------------------------ *)
 (* Vocabulary                                                           *)
 (* ------------------------------------------------------------------ *)
-
-type arrival_stats = {
-  job_id : int;
-  accepted : bool;
-  probes : int;  (** probe evaluations spent on this arrival *)
-  intervals : int;  (** candidate intervals/slots in the job's window *)
-  breakpoints : int;
-      (** raw breakpoint candidates plus one for the search's top
-          (repeats counted; [0] on the reference path) *)
-  bisections : int;
-      (** fallback bisections inside the bracketing segment, when the
-          interpolated speed missed the target ([0] on the reference
-          path) *)
-}
 
 type stats = {
   arrivals : int;
@@ -144,20 +134,6 @@ module Energy_value : sig
   (** Inverse of {!speed_of_price}. *)
 end
 
-type relax_arrival = {
-  r_probes : int;
-  r_intervals : int;
-  r_breakpoints : int;
-  r_bisections : int;
-}
-
-type relax_mem = {
-  r_live : int;
-  r_max_live : int;
-  r_flushed : int;
-  r_finished_slices : int;
-}
-
 type verdict =
   | Reject of float  (** the job cannot finish below this price *)
   | Accept of float * (int * float) list
@@ -178,11 +154,15 @@ module type RELAXATION = sig
       oracle solver where it has one.  May raise [Failure] when a
       must-finish job cannot be placed. *)
 
-  val take_arrival : t -> relax_arrival
-  (** Instrumentation of the last {!price} call. *)
-
   val schedule : t -> rejected:int list -> Schedule.t
-  val mem : t -> relax_mem
+
+  val stats : t -> stats
+  (** The relaxation's cumulative work over every {!price} call so far,
+      including one that raised.  [arrivals] is [0]: {!Make} owns it. *)
+
+  val mem : t -> mem_stats
+  (** Residency gauges.  [table_entries], [max_table_entries] and
+      [evicted_jobs] are [0]: {!Make} owns the dup-id table. *)
 end
 
 val certificate : power:Power.t -> machines:int -> decision list -> float
@@ -210,9 +190,13 @@ module Make (R : RELAXATION) : sig
   val arrive : t -> Job.t -> decision
   val arrive_reference : t -> Job.t -> decision
   val schedule : t -> Schedule.t
-  val set_observer : t -> (arrival_stats -> unit) option -> unit
   val stats : t -> stats
+  (** {!RELAXATION.stats} with [arrivals]: the arrivals admitted past
+      the duplicate-id and release-order checks, one whose [price]
+      raised included. *)
+
   val mem : t -> mem_stats
+  (** {!RELAXATION.mem} with the dup-id table's gauges. *)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -22,7 +22,8 @@ let id_mix (j : Job.t) k =
   let h = h lxor (h lsr 32) in
   (h land max_int) mod k
 
-let default_shard_fn = ("id-mix-v1", id_mix)
+let id_mix_tag = "id-mix-v1"
+let default_shard_fn = (id_mix_tag, id_mix)
 
 (* ------------------------------------------------------------------ *)
 (* Per-shard decision back-channel                                      *)
@@ -78,8 +79,6 @@ type exec = Inline of { mutable closed : bool } | Pooled of Pool.t
 type t = {
   eng : Online.engine;
   k : int;
-  tag : string;
-  route : Job.t -> int -> int;
   shards : Online.t array;
       (* slot [s] is owned by whichever domain currently serves queue
          [s] (inline: the calling one); the merging thread touches it
@@ -96,7 +95,6 @@ let workers t = match t.exec with Inline _ -> 1 | Pooled p -> Pool.workers p
 let seq t = t.next_seq
 let engine t = t.eng
 let shard_params t i = Online.params_of t.shards.(i)
-let shard_of t j = t.route j t.k
 
 let check_shard fn t shard =
   if shard < 0 || shard >= t.k then
@@ -128,29 +126,22 @@ let grow_minor_heap () =
   if g.minor_heap_size < inline_minor_heap_words then
     Gc.set { g with minor_heap_size = inline_minor_heap_words }
 
-let make ?workers ?queue_cap ?(shard_fn = default_shard_fn) ~engine
-    ~next_seq states =
+let make ?workers ~engine ~next_seq states =
   let k = Array.length states in
   let cpus = Domain.recommended_domain_count () in
   let workers =
     match workers with Some w -> w | None -> max 1 (min k (cpus - 1))
   in
-  (match queue_cap with
-  | Some c when c < 1 -> invalid_arg "Service: queue_cap must be >= 1"
-  | _ -> ());
   let exec =
     if workers = 1 && cpus = 1 then begin
       grow_minor_heap ();
       Inline { closed = false }
     end
-    else Pooled (Pool.create ?queue_cap ~workers ~queues:k ())
+    else Pooled (Pool.create ~workers ~queues:k ())
   in
-  let tag, route = shard_fn in
   {
     eng = engine;
     k;
-    tag;
-    route;
     shards = states;
     exec;
     outs = Array.init k (fun _ -> Outq.create ());
@@ -159,22 +150,19 @@ let make ?workers ?queue_cap ?(shard_fn = default_shard_fn) ~engine
     ready_rev = [];
   }
 
-let create ?workers ?queue_cap ?shard_fn ~engine ~params ~shards () =
+let create ?workers ~engine ~params ~shards () =
   if shards < 1 then invalid_arg "Service.create: shards must be >= 1";
   let states = Array.init shards (fun i -> Online.start engine (params i)) in
-  make ?workers ?queue_cap ?shard_fn ~engine ~next_seq:0 states
+  make ?workers ~engine ~next_seq:0 states
 
-let restore ?workers ?queue_cap ?shard_fn ~manifest () =
+let restore ?workers ~manifest () =
   let mf, snaps = Checkpoint.load ~manifest in
-  let tag, _ =
-    match shard_fn with Some f -> f | None -> default_shard_fn
-  in
-  if not (String.equal mf.Checkpoint.shard_fn tag) then
+  if not (String.equal mf.Checkpoint.shard_fn id_mix_tag) then
     failwith
       (Fmt.str
          "Service.restore: manifest partitions with %s, this service with %s \
           — restoring would route the suffix differently"
-         mf.Checkpoint.shard_fn tag);
+         mf.Checkpoint.shard_fn id_mix_tag);
   let engine =
     match Online.find mf.Checkpoint.engine with
     | Some e -> e
@@ -183,8 +171,7 @@ let restore ?workers ?queue_cap ?shard_fn ~manifest () =
         (Fmt.str "Service.restore: unknown engine %S" mf.Checkpoint.engine)
   in
   let states = Array.map Online.restore snaps in
-  make ?workers ?queue_cap ?shard_fn ~engine ~next_seq:mf.Checkpoint.seq
-    states
+  make ?workers ~engine ~next_seq:mf.Checkpoint.seq states
 
 (* ---------------- merged-stream emission ---------------- *)
 
@@ -241,9 +228,7 @@ let submit_task t s task =
     done
 
 let submit t j =
-  let s = t.route j t.k in
-  if s < 0 || s >= t.k then
-    invalid_arg (Fmt.str "Service.submit: shard_fn routed job %d to %d" j.Job.id s);
+  let s = id_mix j t.k in
   let sq = t.next_seq in
   let task () =
     (* shards.(s) is mutated only by tasks on ingest queue s, which the
@@ -303,7 +288,7 @@ let checkpoint t ~dir =
         Cell.put cells.(s) (Online.snapshot t.shards.(s)))
   done;
   let snaps = Array.map Cell.get cells in
-  Checkpoint.write ~dir ~engine:(Online.name t.eng) ~shard_fn:t.tag ~seq:at
+  Checkpoint.write ~dir ~engine:(Online.name t.eng) ~shard_fn:id_mix_tag ~seq:at
     snaps
 
 (* The shard's state is an ordinary heap value; what confines it to one

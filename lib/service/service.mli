@@ -45,14 +45,13 @@ type ev = {
     [seq] order across {!submit}/{!poll}/{!drain}. *)
 
 val default_shard_fn : string * (Job.t -> int -> int)
-(** [("id-mix-v1", fn)]: the default partition function — a fixed-key
-    integer mix of [job.id] reduced mod the shard count.  Deterministic
-    across runs and processes (no [Hashtbl.hash], no randomization). *)
+(** [("id-mix-v1", fn)]: the partition function every service routes
+    with — a fixed-key integer mix of [job.id] reduced mod the shard
+    count.  Deterministic across runs and processes (no [Hashtbl.hash],
+    no randomization). *)
 
 val create :
   ?workers:int ->
-  ?queue_cap:int ->
-  ?shard_fn:string * (Job.t -> int -> int) ->
   engine:Online.engine ->
   params:(int -> Online.params) ->
   shards:int ->
@@ -71,20 +70,18 @@ val create :
     too, so [create] grows the calling domain's minor heap to at least
     512k words (4 MB; it never shrinks it): half as many collections
     then land on a decision.  Otherwise the shards run on a fresh pool
-    of [workers] domains, and [queue_cap] bounds each shard's ingest
-    backlog (default 1024) — {!submit} applies backpressure by draining
-    finished decisions while a queue is full.  The merged stream is the
-    same in both modes.
+    of [workers] domains, and each shard's ingest backlog is bounded
+    (1024 tasks, {!Speedscale_obs.Pool}'s default) — {!submit} applies
+    backpressure by draining finished decisions while a queue is full.
+    The merged stream is the same in both modes.
 
-    The named [shard_fn] is recorded in checkpoints; {!restore} refuses
-    a manifest whose tag differs.  Raises [Invalid_argument] on
-    [shards < 1], [workers < 1], [queue_cap < 1] or inapplicable
-    params. *)
+    Arrivals are routed by {!default_shard_fn}, whose tag is recorded in
+    checkpoints; {!restore} refuses a manifest whose tag differs.
+    Raises [Invalid_argument] on [shards < 1], [workers < 1] or
+    inapplicable params. *)
 
 val restore :
   ?workers:int ->
-  ?queue_cap:int ->
-  ?shard_fn:string * (Job.t -> int -> int) ->
   manifest:string ->
   unit ->
   t
@@ -92,8 +89,8 @@ val restore :
     {!Online.restore}d from its snapshot, and the global sequence
     counter resumes from the manifest's [seq] — the caller re-feeds the
     input suffix from that point on.  Raises [Failure] on a missing or
-    corrupt checkpoint ({!Checkpoint.load}) and on a [shard_fn] tag
-    mismatch. *)
+    corrupt checkpoint ({!Checkpoint.load}) and on a manifest whose
+    [shard-fn] tag is not {!default_shard_fn}'s. *)
 
 val shards : t -> int
 
@@ -106,9 +103,6 @@ val seq : t -> int
 
 val engine : t -> Online.engine
 val shard_params : t -> int -> Online.params
-
-val shard_of : t -> Job.t -> int
-(** Where the partition function routes this job. *)
 
 val worker_of : t -> shard:int -> int
 (** The worker serving [shard]; always 0 in inline mode. *)

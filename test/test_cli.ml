@@ -488,15 +488,15 @@ let test_restore_crafted_inputs () =
   with_tmp_dir (fun dir ->
       let stream = Filename.concat dir "in.txt" in
       write_file stream "alpha 3\nmachines 1\njob 0 1 1 5\n";
-      let manifest ~shards snap =
+      let manifest ?(shard_fn = "id-mix-v1") ~shards snap =
         let file = "ckpt-0-shard-0.snap" in
         write_file (Filename.concat dir file) snap;
         write_file
           (Filename.concat dir "manifest")
           (Printf.sprintf
-             "service-manifest v1\nengine pd\nshard-fn id-mix-v1\n\
+             "service-manifest v1\nengine pd\nshard-fn %s\n\
               shards %d\nseq 0\n%s"
-             shards
+             shard_fn shards
              (if shards = 0 then ""
               else
                 Printf.sprintf "shard 0 %s %s\n" file
@@ -515,6 +515,12 @@ let test_restore_crafted_inputs () =
       check_one_line_exit_2 "--workers 0"
         [ "serve"; stream; "--restore"; dir; "--workers"; "0" ]
         [ "--workers must be >= 1" ];
+      (* a checkpoint routed by another partition function: the suffix
+         would reach different shards *)
+      manifest ~shard_fn:"id-mix-v2" ~shards:1 header;
+      check_one_line_exit_2 "foreign shard-fn tag"
+        [ "serve"; stream; "--restore"; dir ]
+        [ "id-mix-v2"; "id-mix-v1" ];
       (* a shard file outside the checkpoint directory, digest intact *)
       let ck = Filename.concat dir "ck" in
       Sys.mkdir ck 0o755;

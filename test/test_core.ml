@@ -391,7 +391,8 @@ let gc_tail_error ~gc ~plain (dg : Pd.decision) (dp : Pd.decision) =
    still match the reference bisection decision for decision, the gc
    state must stay a flushed-prefix tail of the full one after every
    arrival ([gc_tail_error]), and the gc and full states must realize
-   equal-cost schedules. *)
+   equal-cost schedules and report equal work counters, PD's and NPD's
+   alike. *)
 let prop_pd_gc_long_stream_oracle =
   QCheck.Test.make ~name:"gc long stream: walk = reference, flush invisible"
     ~count:3
@@ -451,6 +452,15 @@ let prop_pd_gc_long_stream_oracle =
         QCheck.Test.fail_reportf
           "residency not bounded: %d live high-water vs %d flushed"
           m.max_live_intervals m.flushed_intervals;
+      if Pd.stats gc_fast <> Pd.stats plain then
+        QCheck.Test.fail_reportf "Pd.stats differ with gc on and off";
+      let npd_stats gc =
+        let t = Npd.create ~gc ~power ~machines () in
+        Array.iter (fun j -> ignore (Npd.arrive t j)) inst.jobs;
+        Npd.stats t
+      in
+      if npd_stats true <> npd_stats false then
+        QCheck.Test.fail_reportf "Npd.stats differ with gc on and off";
       let cost_of t = Cost.total (Schedule.cost inst (Pd.schedule t)) in
       let cg = cost_of gc_fast and cp = cost_of plain in
       if not (Float.equal cg cp) then
@@ -593,23 +603,48 @@ let test_near_duplicate_boundary () =
   | exception Failure _ -> ()
   | d -> Alcotest.failf "expected Failure, got accepted=%b" d.accepted
 
-let test_arrival_stats_observer () =
+(* One arrival's own work: the difference of the cumulative stats read
+   around it. *)
+let arrival_work ~arrive ~stats j =
+  let s0 : Pd.stats = stats () in
+  let d : Pd.decision = arrive j in
+  let s1 : Pd.stats = stats () in
+  ( d,
+    {
+      Pd.arrivals = s1.arrivals - s0.arrivals;
+      probes = s1.probes - s0.probes;
+      intervals = s1.intervals - s0.intervals;
+      breakpoints = s1.breakpoints - s0.breakpoints;
+      bisections = s1.bisections - s0.bisections;
+    } )
+
+let pd_work ?(reference = false) pd j =
+  arrival_work
+    ~arrive:((if reference then Pd.arrive_reference else Pd.arrive) pd)
+    ~stats:(fun () -> Pd.stats pd)
+    j
+
+let test_arrival_work () =
   let pd = Pd.create ~power:p2 ~machines:2 () in
-  let seen = ref [] in
-  Pd.set_observer pd (Some (fun s -> seen := s :: !seen));
-  ignore (Pd.arrive pd (mk_job ~id:0 ~r:0.0 ~d:2.0 ~w:1.0 ~v:100.0 ()));
-  ignore (Pd.arrive pd (mk_job ~id:1 ~r:0.5 ~d:1.5 ~w:1.0 ~v:100.0 ()));
-  Alcotest.(check int) "observer fired per arrival" 2 (List.length !seen);
+  let work =
+    List.map
+      (fun j -> snd (pd_work pd j))
+      [
+        mk_job ~id:0 ~r:0.0 ~d:2.0 ~w:1.0 ~v:100.0 ();
+        mk_job ~id:1 ~r:0.5 ~d:1.5 ~w:1.0 ~v:100.0 ();
+      ]
+  in
   List.iter
-    (fun (s : Pd.arrival_stats) ->
+    (fun (s : Pd.stats) ->
+      Alcotest.(check int) "one arrival each" 1 s.arrivals;
       Alcotest.(check bool) "probes counted" true (s.probes > 0);
       Alcotest.(check bool) "intervals counted" true (s.intervals >= 1);
       Alcotest.(check bool) "breakpoints counted" true (s.breakpoints > 0))
-    !seen;
+    work;
   let st = Pd.stats pd in
   Alcotest.(check int) "arrivals counted" 2 st.arrivals;
   Alcotest.(check int) "probe totals add up" st.probes
-    (List.fold_left (fun acc (s : Pd.arrival_stats) -> acc + s.probes) 0 !seen);
+    (List.fold_left (fun acc (s : Pd.stats) -> acc + s.probes) 0 work);
   Alcotest.(check int) "interpolation lands, no fallback bisection" 0
     st.bisections;
   (* a small job on intervals carrying ~10^9 times its load: the probe's
@@ -617,30 +652,58 @@ let test_arrival_stats_observer () =
      the snap tolerance, and the walk falls back to bisecting the
      bracketing segment -- on the third arrival only *)
   let big = Pd.create ~power:p2 ~machines:1 () in
-  let per_job = ref [] in
-  Pd.set_observer big (Some (fun s -> per_job := s.bisections :: !per_job));
-  List.iter
-    (fun j -> ignore (Pd.arrive big j))
-    [
-      mk_job ~id:0 ~r:1.0 ~d:3.0 ~w:0x1.d6835e24deaebp+22 ();
-      mk_job ~id:1 ~r:1.0 ~d:4.0 ~w:0x1.840cb662c67c1p+35 ();
-      mk_job ~id:2 ~r:2.0 ~d:4.0 ~w:0x1.3187576c11899p+6 ();
-    ];
+  let per_job =
+    List.map
+      (fun j -> (snd (pd_work big j)).bisections)
+      [
+        mk_job ~id:0 ~r:1.0 ~d:3.0 ~w:0x1.d6835e24deaebp+22 ();
+        mk_job ~id:1 ~r:1.0 ~d:4.0 ~w:0x1.840cb662c67c1p+35 ();
+        mk_job ~id:2 ~r:2.0 ~d:4.0 ~w:0x1.3187576c11899p+6 ();
+      ]
+  in
   Alcotest.(check (list int)) "fallback bisections per arrival" [ 0; 0; 1 ]
-    (List.rev !per_job);
+    per_job;
   Alcotest.(check int) "bisection total" 1 (Pd.stats big).bisections;
   (* the reference path reports probes but no breakpoints *)
   let refpd = Pd.create ~power:p2 ~machines:1 () in
-  let last = ref None in
-  Pd.set_observer refpd (Some (fun s -> last := Some s));
-  ignore
-    (Pd.arrive_reference refpd (mk_job ~id:0 ~r:0.0 ~d:1.0 ~w:1.0 ~v:100.0 ()));
-  match !last with
-  | Some (s : Pd.arrival_stats) ->
-    Alcotest.(check int) "reference breakpoints" 0 s.breakpoints;
-    Alcotest.(check int) "reference bisections" 0 s.bisections;
-    Alcotest.(check bool) "reference probes counted" true (s.probes > 0)
-  | None -> Alcotest.fail "observer not called on reference path"
+  let _, s =
+    pd_work ~reference:true refpd (mk_job ~id:0 ~r:0.0 ~d:1.0 ~w:1.0 ~v:100.0 ())
+  in
+  Alcotest.(check int) "reference breakpoints" 0 s.breakpoints;
+  Alcotest.(check int) "reference bisections" 0 s.bisections;
+  Alcotest.(check bool) "reference probes counted" true (s.probes > 0)
+
+(* An arrival whose pricing raises still counts: it is an arrival, and
+   the work done before the raise stays in the totals.  PD's must-finish
+   job on a collapsed window raises before any probe; NPD's scans one
+   gap, a sliver too short to price, before it finds no slot. *)
+let test_raising_arrival_counts () =
+  let expect_failure what f =
+    match f () with
+    | exception Failure _ -> ()
+    | (d : Pd.decision) ->
+      Alcotest.failf "%s: expected Failure, got accepted=%b" what d.accepted
+  in
+  let pd = Pd.create ~power:p2 ~machines:1 () in
+  ignore (Pd.arrive pd (mk_job ~id:0 ~r:1.0 ~d:3.0 ~w:1.0 ~v:100.0 ()));
+  let s0 = Pd.stats pd in
+  expect_failure "pd" (fun () ->
+      Pd.arrive pd (mk_job ~id:1 ~r:3.0 ~d:(3.0 +. 1e-13) ~w:1.0 ()));
+  let s1 = Pd.stats pd in
+  Alcotest.(check int) "pd: the raising arrival counts" (s0.arrivals + 1)
+    s1.arrivals;
+  Alcotest.(check (list int)) "pd: no window, no work"
+    [ s0.probes; s0.intervals; s0.breakpoints; s0.bisections ]
+    [ s1.probes; s1.intervals; s1.breakpoints; s1.bisections ];
+  let npd = Npd.create ~power:p2 ~machines:1 () in
+  ignore (Npd.arrive npd (mk_job ~id:0 ~r:0.0 ~d:(1.0 -. 1e-11) ~w:1.0 ()));
+  let s0 = Npd.stats npd in
+  expect_failure "npd" (fun () ->
+      Npd.arrive npd (mk_job ~id:1 ~r:0.0 ~d:1.0 ~w:1.0 ()));
+  let s1 = Npd.stats npd in
+  Alcotest.(check (list int)) "npd: arrival and sliver gap counted, no probe"
+    [ s0.arrivals + 1; s0.intervals + 1; s0.probes ]
+    [ s1.arrivals; s1.intervals; s1.probes ]
 
 (* Bit pins on wide windows.  Each case digests every decision's
    (accepted, lambda bits, planned-speed bits) of a bounded-memory PD run
@@ -651,22 +714,25 @@ let test_arrival_stats_observer () =
    float arithmetic (summation order, breakpoint set, interpolation)
    moves them.  [probes] and [breakpoints] count sweeps and raw
    candidates, so they move with the search order alone. *)
-let lambda_digest (inst : Instance.t) =
-  let pd = Pd.create ~gc:true ~power:inst.power ~machines:inst.machines () in
+let decisions_digest ~arrive ~stats (inst : Instance.t) =
   let b = Buffer.create (17 * Instance.n_jobs inst) in
   let accepted = ref 0 in
   Array.iter
     (fun (j : Job.t) ->
-      let d = Pd.arrive pd j in
+      let (d : Pd.decision) = arrive j in
       if d.accepted then incr accepted;
       Buffer.add_char b (if d.accepted then 'A' else 'R');
       Buffer.add_int64_le b (Int64.bits_of_float d.lambda);
       Buffer.add_int64_le b (Int64.bits_of_float d.planned_speed))
     inst.jobs;
-  let st = Pd.stats pd in
+  let (st : Pd.stats) = stats () in
   Printf.sprintf "accepted=%d probes=%d intervals=%d breakpoints=%d %s"
     !accepted st.probes st.intervals st.breakpoints
     (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let lambda_digest (inst : Instance.t) =
+  let pd = Pd.create ~gc:true ~power:inst.power ~machines:inst.machines () in
+  decisions_digest ~arrive:(Pd.arrive pd) ~stats:(fun () -> Pd.stats pd) inst
 
 let test_lambda_bit_pins () =
   let module G = Speedscale_workload.Generate in
@@ -710,6 +776,25 @@ let test_lambda_bit_pins () =
     (fun (name, inst, expected) ->
       Alcotest.(check string) name expected (lambda_digest inst))
     cases
+
+(* NPD's counters, pinned the same way on one preset stream: the
+   decisions digest plus [probes] (priced gaps) and [intervals] (scanned
+   gaps); NPD has no breakpoints or bisections.  Recorded while the
+   counters were still summed per arrival by the loop. *)
+let test_npd_counter_pins () =
+  let inst =
+    Speedscale_workload.Generate.diurnal ~power:p3 ~machines:8 ~seed:1
+      ~n:3000 ()
+  in
+  let t = Npd.create ~gc:true ~power:inst.power ~machines:inst.machines () in
+  Alcotest.(check string) "diurnal m=8 seed 1"
+    ("accepted=1796 probes=10420 intervals=10420 breakpoints=0 "
+   ^ "c4315aabf690a107476077b77e97d26f")
+    (decisions_digest ~arrive:(Npd.arrive t) ~stats:(fun () -> Npd.stats t)
+       inst);
+  let st = Npd.stats t in
+  Alcotest.(check (pair int int)) "arrivals, bisections" (3000, 0)
+    (st.arrivals, st.bisections)
 
 (* Allocation budget of the pricing path.  Minor words allocated per
    [Pd.arrive] on a fixed diurnal m = 8 stream are a deterministic
@@ -845,19 +930,18 @@ let test_arrive_sweep_budget () =
   let pd = Pd.create ~gc:true ~power:inst.power ~machines:inst.machines () in
   let rec ceil_log2 k = if k <= 1 then 0 else 1 + ceil_log2 ((k + 1) / 2) in
   let probes = ref 0 and max_sweeps = ref 0 in
-  Pd.set_observer pd
-    (Some
-       (fun (s : Pd.arrival_stats) ->
-         probes := !probes + s.probes;
-         if s.intervals > 0 then begin
-           let sweeps = s.probes / s.intervals in
-           max_sweeps := Int.max !max_sweeps sweeps;
-           if s.bisections = 0 && sweeps > (2 * ceil_log2 s.breakpoints) + 4
-           then
-             Alcotest.failf "job %d: %d sweeps over %d breakpoints" s.job_id
-               sweeps s.breakpoints
-         end));
-  Array.iter (fun j -> ignore (Pd.arrive pd j)) inst.jobs;
+  Array.iter
+    (fun (j : Job.t) ->
+      let _, s = pd_work pd j in
+      probes := !probes + s.probes;
+      if s.intervals > 0 then begin
+        let sweeps = s.probes / s.intervals in
+        max_sweeps := Int.max !max_sweeps sweeps;
+        if s.bisections = 0 && sweeps > (2 * ceil_log2 s.breakpoints) + 4 then
+          Alcotest.failf "job %d: %d sweeps over %d breakpoints" j.id sweeps
+            s.breakpoints
+      end)
+    inst.jobs;
   let mean = float_of_int !probes /. float_of_int (Instance.n_jobs inst) in
   Printf.printf "probes per arrival: %.1f, most sweeps: %d\n" mean !max_sweeps;
   Alcotest.(check bool)
@@ -1218,9 +1302,11 @@ let () =
         [
           Alcotest.test_case "near-duplicate boundary snaps" `Quick
             test_near_duplicate_boundary;
-          Alcotest.test_case "stats observer" `Quick
-            test_arrival_stats_observer;
+          Alcotest.test_case "per-arrival work" `Quick test_arrival_work;
+          Alcotest.test_case "raising arrival counts" `Quick
+            test_raising_arrival_counts;
           Alcotest.test_case "lambda bit pins" `Quick test_lambda_bit_pins;
+          Alcotest.test_case "npd counter pins" `Quick test_npd_counter_pins;
           Alcotest.test_case "allocation budget" `Quick
             test_arrive_allocation_budget;
           Alcotest.test_case "sweep budget" `Quick test_arrive_sweep_budget;
